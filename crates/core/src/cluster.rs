@@ -20,10 +20,12 @@
 //! * a pass runs "when at least one request is waiting in the global queue
 //!   and at least one GPU is idle" — and additionally whenever an idle
 //!   GPU has local-queue work, which Algorithm 1 always serves first;
-//! * the active [`SchedulerPolicy`] orders the idle GPUs (frequency order
-//!   for the locality-aware policies, longest-idle for LB) and answers
-//!   one [`Dispatch`] per idle GPU through a borrowed [`SchedCtx`] view
-//!   of the queue/residency/finish-time state;
+//! * the driver keeps the online idle GPUs in Algorithm 1's frequency
+//!   order as they go idle and busy, so a round copies its candidates
+//!   instead of sorting the fleet; the active [`SchedulerPolicy`] may
+//!   reorder them (LB: longest-idle first) and answers one [`Dispatch`]
+//!   per idle GPU through a borrowed [`SchedCtx`] view of the
+//!   queue/residency/finish-time state;
 //! * Algorithm 1's visit counters and Algorithm 2's hit-elsewhere /
 //!   wait-on-busy arms live in the policy impls
 //!   (see [`crate::scheduler`]).
@@ -53,6 +55,7 @@ use crate::batching::{BatchPolicy, BatchView};
 use crate::cache::{CacheManager, Evictor};
 use crate::config::{BusyWaitPolicy, ClusterConfig, ConfigError};
 use crate::gpu_manager::{lru_key, status_key, GpuUnit, HoldSlot, InFlight, Phase, UnitState};
+use crate::idle_index::IdleIndex;
 use crate::metrics::{MetricsCollector, MetricsImage, RunMetrics};
 use crate::policy::{PolicyRegistry, PolicySpec};
 use crate::request::Request;
@@ -133,12 +136,15 @@ pub struct Cluster {
     /// invocations return theirs here instead of freeing, so the steady
     /// state allocates nothing per dispatch. Bounded by the fleet size.
     batch_pool: Vec<Vec<Request>>,
-    /// Online units that are idle right now, maintained at every
-    /// dispatch, completion, and scale transition. Together with the two
-    /// counters below it lets a scheduling pass on a saturated cluster
-    /// prove itself a no-op in O(1) instead of scanning the fleet — and
-    /// every arrival triggers a pass.
-    idle_online: usize,
+    /// Online units that are idle right now, in Algorithm 1's order,
+    /// maintained at every dispatch, completion, crash, and scale
+    /// transition (see [`IdleIndex`]). A round copies its candidates from
+    /// here instead of scanning and sorting the fleet; together with the
+    /// two counters below, its size lets a pass on a saturated cluster
+    /// prove itself a no-op in O(1) — and every arrival triggers a pass.
+    /// Derived from `units`: built with them, rebuilt on rollback and
+    /// restore, never journaled.
+    idle: IdleIndex,
     /// Units with a forming batch parked in their hold slot.
     holding_units: usize,
     /// Units in the [`UnitState::Draining`] state.
@@ -317,6 +323,7 @@ impl Cluster {
             })
             .collect();
         let cache = CacheManager::with_evictor(units.iter().map(|u| u.id()), evictor);
+        let idle = IdleIndex::of(&units);
         let rng = gfaas_sim::rng::DetRng::new(config.seed ^ 0xc4a5);
         // Build the recorder stack from the config's record spec. Off by
         // default: `recorder` stays `None` and every hook is a dead branch.
@@ -368,7 +375,7 @@ impl Cluster {
             online_high: initial_online,
             pending_total: 0,
             batch_pool: Vec::new(),
-            idle_online: initial_online,
+            idle,
             holding_units: 0,
             draining_units: 0,
             busy_secs: 0.0,
@@ -601,6 +608,15 @@ impl Cluster {
         }
     }
 
+    /// Appends `r` to `gi`'s local queue (Algorithm 2's wait arm), keeping
+    /// the aggregate and the idle index's backlog list in step.
+    fn push_local(&mut self, gi: usize, r: Request) {
+        self.agg_push(gi, &r);
+        self.units[gi].local_queue.push_back(r);
+        self.local_moves += 1;
+        self.idle.note_backlog(&self.units[gi]);
+    }
+
     /// Recomputes `gi`'s aggregate from its queue — the rare-path reset
     /// after a crash rebuilds the local queue wholesale.
     fn agg_rebuild(&mut self, gi: usize) {
@@ -668,6 +684,25 @@ impl Cluster {
             debug_assert_eq!(wait, naive, "local-queue aggregate out of sync on GPU {gi}");
         }
         wait
+    }
+
+    /// A lower bound on the wait either estimator reports for `gi`, for
+    /// any model, in O(1): the remainder of the in-flight phase plus,
+    /// with `whole_queue` (per-request dispatch, where the estimate
+    /// drains the whole local queue), the queue's inference sum. Every
+    /// other term the estimators add is non-negative. A join-aware
+    /// estimate may stop before the local queue, so under batching only
+    /// the in-flight remainder is certain.
+    fn wait_floor(&self, gi: usize, whole_queue: bool) -> SimDuration {
+        let busy = self.units[gi]
+            .device
+            .busy_until()
+            .map_or(SimDuration::ZERO, |t| t.duration_since(self.now));
+        if whole_queue {
+            busy + self.local_aggs[gi].infer_sum
+        } else {
+            busy
+        }
     }
 
     /// Requests a tenant currently occupies (in flight, held for a batch,
@@ -1135,7 +1170,7 @@ impl Cluster {
                 self.batch_pool.push(recycled);
                 self.units[gi].idle_since = self.now;
                 if self.units[gi].state == UnitState::Online {
-                    self.idle_online += 1;
+                    self.idle.insert(&self.units[gi]);
                     if self.recorder.is_some() {
                         self.emit(ObsEvent::UnitIdle { gpu: g });
                     }
@@ -1202,11 +1237,8 @@ impl Cluster {
             });
         }
         self.units[gi].idle_since = self.now;
-        if self.units[gi].state == UnitState::Online {
-            self.idle_online += 1;
-            if self.recorder.is_some() {
-                self.emit(ObsEvent::UnitIdle { gpu: g });
-            }
+        if self.units[gi].state == UnitState::Online && self.recorder.is_some() {
+            self.emit(ObsEvent::UnitIdle { gpu: g });
         }
         self.crashes += 1;
         self.report_status(g, "idle");
@@ -1225,6 +1257,11 @@ impl Cluster {
         }
         self.units[gi].local_queue = keep;
         self.agg_rebuild(gi);
+        // The unit enters the idle set only now: its surviving local
+        // queue decides whether it also carries a backlog.
+        if self.units[gi].state == UnitState::Online {
+            self.idle.insert(&self.units[gi]);
+        }
         for r in requeue.into_iter().rev() {
             let id = r.id;
             self.global_queue.push_front(r);
@@ -1284,7 +1321,7 @@ impl Cluster {
                 // idle ordering.
                 unit.hits = 0;
                 debug_assert!(unit.is_idle(), "offline units carry no work");
-                self.idle_online += 1;
+                self.idle.insert(unit);
                 provisioned.push(unit.id());
             }
         }
@@ -1337,7 +1374,7 @@ impl Cluster {
         });
         for &gi in victims.iter().take(allowed) {
             if self.units[gi].is_idle() {
-                self.idle_online -= 1;
+                self.idle.remove(&self.units[gi]);
             }
             self.units[gi].state = UnitState::Draining;
             self.draining_units += 1;
@@ -1540,7 +1577,7 @@ impl Cluster {
         // every branch below leaves it busy (in flight or holding).
         debug_assert!(self.units[gi].is_idle(), "dispatch on a busy GPU");
         if self.units[gi].state == UnitState::Online {
-            self.idle_online -= 1;
+            self.idle.remove(&self.units[gi]);
         }
         if self.recorder.is_some() {
             let (id, g) = (lead.id, self.units[gi].id());
@@ -1696,6 +1733,23 @@ impl Cluster {
     // Scheduling (paper §IV; the algorithms live in the policy impls)
     // ------------------------------------------------------------------
 
+    /// Asserts the driver's derived fleet state — the idle index and the
+    /// holding/draining counters — against a brute-force scan of the
+    /// units. Runs on every pass round in debug and `simcheck` builds.
+    #[cfg(any(debug_assertions, feature = "simcheck"))]
+    fn audit_fleet_index(&self) {
+        assert_eq!(
+            self.idle,
+            IdleIndex::of(&self.units),
+            "idle index out of sync"
+        );
+        assert_eq!(
+            (self.holding_units, self.draining_units),
+            fleet_counts(&self.units),
+            "holding/draining counters out of sync"
+        );
+    }
+
     /// Runs scheduling iterations until no dispatch is possible. The
     /// structure (pass loop, local-queue priority, idle filtering) is the
     /// driver's; every placement decision is the policy's. Draining GPUs
@@ -1706,30 +1760,11 @@ impl Cluster {
         let mut sched = self.sched.take().expect("scheduler in place");
         loop {
             self.profile.pass_rounds += 1;
-            debug_assert_eq!(
-                self.idle_online,
-                self.units
-                    .iter()
-                    .filter(|u| u.state == UnitState::Online && u.is_idle())
-                    .count(),
-                "idle_online counter out of sync"
-            );
-            debug_assert_eq!(
-                self.holding_units,
-                self.units.iter().filter(|u| u.holding.is_some()).count(),
-                "holding_units counter out of sync"
-            );
-            debug_assert_eq!(
-                self.draining_units,
-                self.units
-                    .iter()
-                    .filter(|u| u.state == UnitState::Draining)
-                    .count(),
-                "draining_units counter out of sync"
-            );
+            #[cfg(any(debug_assertions, feature = "simcheck"))]
+            self.audit_fleet_index();
             // The saturated common case: nothing to top up, nothing to
             // drain, nowhere to dispatch — the pass is provably a no-op.
-            if self.idle_online == 0 && self.holding_units == 0 && self.draining_units == 0 {
+            if self.idle.is_empty() && self.holding_units == 0 && self.draining_units == 0 {
                 break;
             }
             let mut progress = false;
@@ -1760,19 +1795,14 @@ impl Cluster {
                 }
             }
             // Online idle GPUs with work available to them, Algorithm 1's
-            // input. The candidate list lives in a recycled buffer — a
-            // pass runs on every arrival, so per-pass allocation is hot.
+            // input, already in its frequency order: all of them while the
+            // global queue has work, else just those with a local backlog.
+            // The candidate list lives in a recycled buffer — a pass runs
+            // on every arrival, so per-pass allocation is hot.
             let mut idle = std::mem::take(&mut self.idle_scratch);
             idle.clear();
-            if self.idle_online > 0 {
-                idle.extend(
-                    self.units
-                        .iter()
-                        .filter(|u| u.state == UnitState::Online && u.is_idle())
-                        .filter(|u| !u.local_queue.is_empty() || !self.global_queue.is_empty())
-                        .map(|u| u.id()),
-                );
-            }
+            self.idle
+                .candidates(!self.global_queue.is_empty(), &mut idle);
             if idle.is_empty() {
                 self.idle_scratch = idle;
                 if progress {
@@ -1787,6 +1817,12 @@ impl Cluster {
             };
             sched.idle_order(&ctx, &mut idle);
             for &g in &idle {
+                // With the global queue empty only a local backlog can
+                // still move, and every online idle GPU with one is in the
+                // index's backlog list: the rest of the round is a no-op.
+                if ctx.cluster.global_queue.is_empty() && !ctx.cluster.idle.has_backlog() {
+                    break;
+                }
                 let gi = g.0 as usize;
                 if !ctx.cluster.units[gi].is_idle() {
                     continue; // became busy earlier in this iteration
@@ -2115,7 +2151,6 @@ impl Cluster {
             online_low: self.online_low,
             online_high: self.online_high,
             pending_total: self.pending_total,
-            idle_online: self.idle_online,
             holding_units: self.holding_units,
             draining_units: self.draining_units,
             busy_secs: self.busy_secs,
@@ -2180,11 +2215,11 @@ impl Cluster {
         self.online_low = img.online_low;
         self.online_high = img.online_high;
         self.pending_total = img.pending_total;
-        self.idle_online = img.idle_online;
         self.holding_units = img.holding_units;
         self.draining_units = img.draining_units;
         self.busy_secs = img.busy_secs;
         self.local_aggs = img.local_aggs;
+        self.idle.rebuild(&self.units);
         *events = img.events;
         self.next_arrival = img.next_arrival;
         self.run_started = img.run_started;
@@ -2256,7 +2291,7 @@ impl Cluster {
         enc.put_usize(self.online_low);
         enc.put_usize(self.online_high);
         enc.put_u64(self.pending_total);
-        enc.put_usize(self.idle_online);
+        enc.put_usize(self.idle.len());
         enc.put_usize(self.holding_units);
         enc.put_usize(self.draining_units);
         enc.put_f64(self.busy_secs);
@@ -2340,7 +2375,9 @@ impl Cluster {
         self.online_low = dec.usize()?;
         self.online_high = dec.usize()?;
         self.pending_total = dec.u64()?;
-        self.idle_online = dec.usize()?;
+        // The fleet counters are derived from the units; the wire copies
+        // are checked against them below instead of trusted.
+        let idle_online = dec.usize()?;
         self.holding_units = dec.usize()?;
         self.draining_units = dec.usize()?;
         self.busy_secs = dec.f64()?;
@@ -2363,9 +2400,15 @@ impl Cluster {
             let _ = dec.u128()?;
         }
         dec.finish()?;
-        // Derived state follows the restored queues.
+        // Derived state follows the restored units and queues.
         for gi in 0..self.units.len() {
             self.agg_rebuild(gi);
+        }
+        self.idle.rebuild(&self.units);
+        if (idle_online, (self.holding_units, self.draining_units))
+            != (self.idle.len(), fleet_counts(&self.units))
+        {
+            return Err(SnapError::Corrupt("fleet counters disagree with the units"));
         }
         Ok(())
     }
@@ -2407,12 +2450,7 @@ impl Cluster {
         match placement {
             SpecPlacement::HitOn(g) => self.dispatch_batched(g.0 as usize, r, true, events),
             SpecPlacement::MissOn(g) => self.dispatch_batched(g.0 as usize, r, false, events),
-            SpecPlacement::WaitOn(g) => {
-                let gi = g.0 as usize;
-                self.agg_push(gi, &r);
-                self.units[gi].local_queue.push_back(r);
-                self.local_moves += 1;
-            }
+            SpecPlacement::WaitOn(g) => self.push_local(g.0 as usize, r),
         }
 
         // The fork starts mid-pass: idle GPUs *after* the served one in
@@ -2576,7 +2614,6 @@ struct ClusterImage {
     online_low: usize,
     online_high: usize,
     pending_total: u64,
-    idle_online: usize,
     holding_units: usize,
     draining_units: usize,
     busy_secs: f64,
@@ -2633,6 +2670,17 @@ impl SpecScore {
         }
         self.pending < other.pending
     }
+}
+
+/// Units with a held batch and units draining, counted from scratch —
+/// the definition the driver's incremental counters must agree with.
+fn fleet_counts(units: &[GpuUnit]) -> (usize, usize) {
+    let holding = units.iter().filter(|u| u.holding.is_some()).count();
+    let draining = units
+        .iter()
+        .filter(|u| u.state == UnitState::Draining)
+        .count();
+    (holding, draining)
 }
 
 /// FNV digest over the trace's observable arrival stream — the
@@ -2968,17 +3016,46 @@ impl SchedCtx<'_> {
     }
 
     /// GPUs currently holding `model`, in id order (the §VI replica
-    /// list). Only online GPUs count: a draining GPU still holds its
-    /// models but must not attract new work, and its residents are about
-    /// to be evicted anyway.
-    pub fn holders(&self, model: ModelId) -> Vec<GpuId> {
+    /// list), borrowed without allocating. Only online GPUs count: a
+    /// draining GPU still holds its models but must not attract new work,
+    /// and its residents are about to be evicted anyway.
+    pub fn online_holders(&self, model: ModelId) -> impl Iterator<Item = GpuId> + '_ {
+        let units = &self.cluster.units;
         self.cluster
             .cache
             .holders(model)
             .iter()
             .copied()
-            .filter(|&g| self.cluster.units[g.0 as usize].state == UnitState::Online)
-            .collect()
+            .filter(move |&g| units[g.0 as usize].state == UnitState::Online)
+    }
+
+    /// Algorithm 2's busy-holder pick: the online holder of `model` with
+    /// the smallest [`SchedCtx::estimated_wait_for`], the lower id winning
+    /// ties, or `None` when no online GPU holds `model`. The minimum is
+    /// exact, but only holders that could still win are estimated: a
+    /// holder whose O(1) lower bound already reaches the best wait found
+    /// so far is skipped.
+    pub fn min_wait_holder(&self, model: ModelId) -> Option<(SimDuration, GpuId)> {
+        let whole_queue = self.cluster.batcher.is_passthrough();
+        let mut best: Option<(SimDuration, GpuId)> = None;
+        // Holders arrive in id order, so on equal waits the first stays.
+        for j in self.online_holders(model) {
+            let gi = j.0 as usize;
+            if let Some((b, _)) = best {
+                if self.cluster.wait_floor(gi, whole_queue) >= b {
+                    continue;
+                }
+            }
+            let wait = self.estimated_wait_for(j, model);
+            debug_assert!(
+                wait >= self.cluster.wait_floor(gi, whole_queue),
+                "wait floor above the estimate on {j}"
+            );
+            if best.is_none_or(|(b, _)| wait < b) {
+                best = Some((wait, j));
+            }
+        }
+        best
     }
 
     // --- config / time ------------------------------------------------
@@ -3032,9 +3109,7 @@ impl SchedCtx<'_> {
                 model,
             });
         }
-        self.cluster.agg_push(gi, &r);
-        self.cluster.units[gi].local_queue.push_back(r);
-        self.cluster.local_moves += 1;
+        self.cluster.push_local(gi, r);
         self.progress = true;
     }
 
@@ -3988,6 +4063,98 @@ mod tests {
         assert_eq!(m.misses, 2);
     }
 
+    #[test]
+    fn work_queued_on_an_idle_gpu_is_served_next_round() {
+        /// Parks a hit in the idle GPU's own local queue instead of
+        /// dispatching it: the driver's backlog tracking must still
+        /// serve it.
+        #[derive(Debug)]
+        struct QueueHere;
+        impl SchedulerPolicy for QueueHere {
+            fn name(&self) -> String {
+                "queue-here".into()
+            }
+            fn on_gpu_idle(&mut self, gpu: GpuId, ctx: &mut SchedCtx<'_>) -> Dispatch {
+                let r = ctx.take_queued(0);
+                if ctx.is_cached(gpu, r.model) {
+                    ctx.enqueue_local(gpu, r);
+                    Dispatch::None
+                } else {
+                    Dispatch::Miss(r)
+                }
+            }
+        }
+
+        let cfg = ClusterConfig::test(2, 1000, Policy::lalb());
+        let seed = cfg.seed;
+        let mut c = Cluster::with_policies(
+            cfg,
+            toy_registry(1),
+            Box::new(QueueHere),
+            crate::cache::ReplacementPolicy::Lru.build(seed),
+        )
+        .unwrap();
+        let m = c.run(&trace_of(&[(0.0, 0), (10.0, 0), (20.0, 0)]));
+        assert_eq!(m.completed, 3);
+        assert_eq!(
+            c.local_moves(),
+            2,
+            "both repeats went through the local queue"
+        );
+    }
+
+    #[test]
+    fn min_wait_holder_matches_a_full_estimator_sweep() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// LALB+O3, checking before every decision that the pruned
+        /// holder search returns the full sweep's minimum for each
+        /// queued model.
+        #[derive(Debug)]
+        struct Checked(LalbScheduler, Arc<AtomicUsize>);
+        impl SchedulerPolicy for Checked {
+            fn name(&self) -> String {
+                "checked".into()
+            }
+            fn on_gpu_idle(&mut self, gpu: GpuId, ctx: &mut SchedCtx<'_>) -> Dispatch {
+                for i in 0..ctx.queue_len() {
+                    let model = ctx.queued(i).model;
+                    let sweep = ctx
+                        .online_holders(model)
+                        .map(|j| (ctx.estimated_wait_for(j, model), j))
+                        .min();
+                    assert_eq!(ctx.min_wait_holder(model), sweep);
+                    if ctx.online_holders(model).count() >= 3 {
+                        // Relaxed: a test statistic publishing no data.
+                        self.1.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                self.0.on_gpu_idle(gpu, ctx)
+            }
+        }
+
+        let reqs: Vec<(f64, u32)> = (0..240)
+            .map(|i| (i as f64 * 0.05, (i % 2) as u32))
+            .collect();
+        for batching in ["none", "coalesce:max=4,wait=0.05"] {
+            let mut cfg = ClusterConfig::test(6, 1000, Policy::lalbo3());
+            cfg.batching = batching.parse().unwrap();
+            let seed = cfg.seed;
+            let checks = Arc::new(AtomicUsize::new(0));
+            let mut c = Cluster::with_policies(
+                cfg,
+                toy_registry(2),
+                Box::new(Checked(LalbScheduler::new(25), checks.clone())),
+                crate::cache::ReplacementPolicy::Lru.build(seed),
+            )
+            .unwrap();
+            assert_eq!(c.run(&trace_of(&reqs)).completed, 240);
+            assert!(
+                checks.load(Ordering::Relaxed) > 100,
+                "{batching}: replicated models must be searched"
+            );
+        }
+    }
+
     // ------------------------------------------------------------------
     // Versioned state: snapshot / rollback / checkpoint / lookahead
     // ------------------------------------------------------------------
@@ -4137,6 +4304,127 @@ mod tests {
         let mut target = snap_cluster(&cfg);
         assert!(target.restore(&bad, &t).is_err());
         assert_eq!(target.run(&t), full);
+    }
+
+    // ------------------------------------------------------------------
+    // Idle index and fleet counters (derived state)
+    // ------------------------------------------------------------------
+
+    /// Asserts the derived fleet state against a scan of the units.
+    fn assert_fleet_index(c: &Cluster) {
+        assert_eq!(c.idle, IdleIndex::of(&c.units), "idle index");
+        assert_eq!(
+            (c.holding_units, c.draining_units),
+            fleet_counts(&c.units),
+            "holding/draining counters"
+        );
+    }
+
+    /// Runs `t` in `step`-second slices, checking the fleet index at
+    /// every pause, and returns the metrics; pausing never perturbs a
+    /// run, so they must equal an unpaused run's.
+    fn run_stepped(c: &mut Cluster, t: &Trace, step: f64) -> RunMetrics {
+        let mut at = 0.0;
+        while c.metrics.completed() < t.len() as u64 {
+            at += step;
+            c.run_until(t, SimTime::from_secs_f64(at));
+            assert_fleet_index(c);
+        }
+        c.resume(t)
+    }
+
+    #[test]
+    fn idle_index_follows_crashes_scaling_and_held_batches() {
+        let mut crashy = ClusterConfig::test(3, 300, Policy::lalbo3());
+        crashy.crash_rate = 0.3;
+        crashy.seed = 5;
+        let steady: Vec<(f64, u32)> = (0..80).map(|i| (i as f64 * 0.05, (i % 5) as u32)).collect();
+        let mut elastic = ClusterConfig::test(2, 1000, Policy::lalbo3());
+        elastic.autoscale = Some("queue:min=1,max=4,up=3,down=0,cadence=1".parse().unwrap());
+        let mut burst: Vec<(f64, u32)> = (0..12).map(|i| (0.0, (i % 4) as u32)).collect();
+        burst.push((40.0, 0));
+        // The snapshot fixture batches and autoscales on a small fleet.
+        let (batched, batched_trace) = snap_fixture();
+        let cases = [
+            (crashy, trace_of(&steady), 5, 0.25),
+            (elastic, trace_of(&burst), 4, 0.5),
+            (batched, batched_trace, 6, 0.07),
+        ];
+        let (mut crashes, mut scale_downs, mut holds) = (0, 0, 0);
+        for (cfg, t, nmodels, step) in cases {
+            let full = Cluster::new(cfg.clone(), toy_registry(nmodels)).run(&t);
+            let mut c = Cluster::new(cfg, toy_registry(nmodels));
+            let m = run_stepped(&mut c, &t, step);
+            assert_eq!(m, full, "pausing must not perturb the run");
+            crashes += c.crashes();
+            scale_downs += m.scale_down_events;
+            holds += c.self_profile().holds_parked;
+        }
+        assert!(crashes > 0, "the crash path must fire");
+        assert!(scale_downs > 0, "scale-up and drain must fire");
+        assert!(holds > 0, "held batches must form");
+    }
+
+    #[test]
+    fn idle_index_is_rebuilt_on_rollback_and_warm_start() {
+        let (cfg, t) = snap_fixture();
+        let mut c = snap_cluster(&cfg);
+        // Early on two of the three GPUs are still idle; by 1.3 s the
+        // fixture saturates every GPU.
+        c.run_until(&t, SimTime::from_secs_f64(0.1));
+        let pinned = c.idle.clone();
+        assert_eq!(pinned.len(), 2);
+        let id = c.snapshot();
+        c.run_until(&t, SimTime::from_secs_f64(1.3));
+        assert!(c.idle.is_empty(), "the fleet moved past the pin");
+        assert!(c.rollback(id));
+        assert_eq!(c.idle, pinned);
+        assert_fleet_index(&c);
+        let bytes = c.checkpoint(&t);
+        let mut warm = snap_cluster(&cfg);
+        warm.restore(&bytes, &t).unwrap();
+        assert_eq!(warm.idle, pinned);
+        assert_fleet_index(&warm);
+        assert_eq!(warm.resume(&t), snap_cluster(&cfg).run(&t));
+    }
+
+    #[test]
+    fn restore_rejects_corrupt_fleet_counters() {
+        let (cfg, t) = snap_fixture();
+        let mut c = snap_cluster(&cfg);
+        c.run_until(&t, SimTime::from_secs_f64(0.1));
+        let bytes = c.checkpoint(&t);
+        // The three counters are consecutive little-endian words between
+        // the fleet watermarks and trace size and the busy-seconds
+        // accumulator; locate that run of words.
+        let mut tail = Vec::new();
+        for w in [
+            c.online_low as u64,
+            c.online_high as u64,
+            c.pending_total,
+            c.idle.len() as u64,
+            c.holding_units as u64,
+            c.draining_units as u64,
+            c.busy_secs.to_bits(),
+        ] {
+            tail.extend_from_slice(&w.to_le_bytes());
+        }
+        let hits: Vec<usize> = (0..=bytes.len() - tail.len())
+            .filter(|&i| bytes[i..i + tail.len()] == tail[..])
+            .collect();
+        assert_eq!(hits.len(), 1, "the counters are located unambiguously");
+        for counter in 0..3 {
+            let mut bad = bytes.clone();
+            bad[hits[0] + (3 + counter) * 8] ^= 1;
+            assert!(
+                matches!(
+                    snap_cluster(&cfg).restore(&bad, &t),
+                    Err(SnapError::Corrupt(_))
+                ),
+                "counter {counter} flipped"
+            );
+        }
+        assert!(snap_cluster(&cfg).restore(&bytes, &t).is_ok());
     }
 
     /// A test cluster driven by the lookahead what-if scheduler.

@@ -45,6 +45,7 @@ pub mod cache;
 pub mod cluster;
 pub mod config;
 pub mod gpu_manager;
+mod idle_index;
 pub mod live;
 pub mod metrics;
 pub mod policy;

@@ -12,6 +12,11 @@ use gfaas_sim::stats::{Histogram, Ratio, TimeWeighted, Welford};
 use gfaas_sim::time::{SimDuration, SimTime};
 use gfaas_snap::{Dec, Enc, SnapError};
 
+/// Width of one latency-histogram bin, in seconds.
+const LATENCY_BIN_SECS: f64 = 1.0;
+/// Latency-histogram bins: 1-second bins over 10 minutes of latency.
+const LATENCY_BINS: usize = 600;
+
 /// Live collector, updated by the cluster driver as events complete.
 #[derive(Debug)]
 pub struct MetricsCollector {
@@ -41,9 +46,9 @@ impl Default for MetricsCollector {
     fn default() -> Self {
         MetricsCollector {
             latency: Welford::new(),
-            // 1-second bins over 10 minutes of latency; quantiles are
-            // exact (the histogram keeps samples), bins are for display.
-            latency_hist: Histogram::new(1.0, 600),
+            // Quantiles are exact (the histogram keeps samples); the
+            // bins are for display.
+            latency_hist: Histogram::new(LATENCY_BIN_SECS, LATENCY_BINS),
             hits: Ratio::new(),
             false_misses: 0,
             duplicates: TimeWeighted::new(),
@@ -240,10 +245,10 @@ impl MetricsCollector {
         let latency = Welford::from_raw_parts((n, mean, m2, min, max));
         let bin_width = dec.f64()?;
         let nbins = dec.usize()?;
-        // NaN-safe: a NaN bin width must also be rejected, so the
-        // comparison goes through `partial_cmp`, not a negated `>`.
-        // gfaas-lint: allow(float-ord, decoder validation rejecting NaN — Greater is the only accepted outcome)
-        if bin_width.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || nbins == 0 {
+        // Only the shape `Default` builds is valid. Checking it before
+        // the histogram allocates its bins keeps a corrupt `nbins` from
+        // aborting the process; comparing bit patterns rejects NaN too.
+        if bin_width.to_bits() != LATENCY_BIN_SECS.to_bits() || nbins != LATENCY_BINS {
             return Err(SnapError::Corrupt("invalid histogram configuration"));
         }
         let nsamples = dec.usize()?;
@@ -599,6 +604,34 @@ mod tests {
         let a = busy_collector().finish(SimTime::from_secs(10), 0.25);
         let b = loaded.finish(SimTime::from_secs(10), 0.25);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn load_rejects_foreign_histogram_shapes() {
+        let mut enc = Enc::new();
+        busy_collector().save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        // Welford's five words, then the bin width, then the bin count.
+        let (width_at, nbins_at) = (5 * 8, 6 * 8);
+        let patched = |at: usize, word: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            b
+        };
+        let shapes = [
+            patched(nbins_at, u64::MAX),
+            patched(nbins_at, 0),
+            patched(nbins_at, 601),
+            patched(width_at, 2.0f64.to_bits()),
+            patched(width_at, f64::NAN.to_bits()),
+        ];
+        for bad in &shapes {
+            assert!(matches!(
+                MetricsCollector::load_state(&mut Dec::new(bad)),
+                Err(SnapError::Corrupt(_))
+            ));
+        }
+        assert!(MetricsCollector::load_state(&mut Dec::new(&bytes)).is_ok());
     }
 
     #[test]

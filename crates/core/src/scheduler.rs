@@ -122,7 +122,10 @@ pub enum Dispatch {
 /// ([`SchedulerPolicy::idle_order`]), and calls
 /// [`SchedulerPolicy::on_gpu_idle`] per GPU until no policy makes
 /// progress. Serving a GPU's own local queue first (Algorithm 1 lines
-/// 2–5) is structural and stays in the driver.
+/// 2–5) is structural and stays in the driver, and so is the
+/// locality-aware idle order: the driver keeps the idle GPUs sorted as
+/// they go idle and busy, so the list a policy receives is already in
+/// Algorithm 1's order.
 ///
 /// Implementations must be deterministic: any randomness must come from
 /// owned, seeded state.
@@ -130,11 +133,14 @@ pub trait SchedulerPolicy: std::fmt::Debug + Send {
     /// Display name for reports (the paper uses `LB` / `LALB` / `LALBO3`).
     fn name(&self) -> String;
 
-    /// Orders the idle GPUs for one scheduling pass. The default is the
-    /// locality-aware rule — "the list of idle GPUs (sorted by
-    /// frequency)": more cache hits served first, then GPU id.
+    /// Orders the idle GPUs for one scheduling round. `idle` arrives in
+    /// the locality-aware order — "the list of idle GPUs (sorted by
+    /// frequency)": more cache hits ([`SchedCtx::hits`]) served first,
+    /// then GPU id — and the default keeps it, at no cost. Override to
+    /// impose another order (LB sorts longest-idle first); the GPUs a
+    /// round serves are whatever the list holds after this call.
     fn idle_order(&mut self, ctx: &SchedCtx<'_>, idle: &mut Vec<GpuId>) {
-        idle.sort_by(|&a, &b| ctx.hits(b).cmp(&ctx.hits(a)).then(a.cmp(&b)));
+        let _ = (ctx, idle);
     }
 
     /// Decides what idle GPU `gpu` should run next. Placements on *other*
@@ -214,8 +220,7 @@ impl LalbScheduler {
     /// wait beats the model's load time, (4) otherwise a miss on `gpu`.
     /// Returns `Some(Dispatch)` iff the request targets `gpu` itself.
     fn locality_load_balance(gpu: GpuId, r: Request, ctx: &mut SchedCtx<'_>) -> Option<Dispatch> {
-        let holders = ctx.holders(r.model);
-        if holders.is_empty() {
+        if ctx.online_holders(r.model).next().is_none() {
             // Lines 1–3: cached nowhere → allow the miss here.
             return Some(Dispatch::Miss(r));
         }
@@ -223,10 +228,10 @@ impl LalbScheduler {
         // holder still carrying a local backlog is mid-pass (its queue
         // drains under Algorithm 1's local priority before it can accept
         // new work), so it is not an immediate-hit target.
-        if let Some(&j) = holders
-            .iter()
-            .find(|&&j| j != gpu && ctx.is_idle(j) && ctx.local_backlog(j) == 0)
-        {
+        let idle_holder = ctx
+            .online_holders(r.model)
+            .find(|&j| j != gpu && ctx.is_idle(j) && ctx.local_backlog(j) == 0);
+        if let Some(j) = idle_holder {
             ctx.dispatch_hit(j, r);
             return None;
         }
@@ -237,11 +242,7 @@ impl LalbScheduler {
         // model's coalesced invocation); per-request dispatch keeps the
         // paper's drain estimate byte-identically.
         let load_time = ctx.load_time(gpu, r.model);
-        let best = holders
-            .iter()
-            .map(|&j| (ctx.estimated_wait_for(j, r.model), j))
-            .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        if let Some((wait, j)) = best {
+        if let Some((wait, j)) = ctx.min_wait_holder(r.model) {
             let join_queue = match ctx.busy_wait() {
                 BusyWaitPolicy::Estimate => wait < load_time,
                 BusyWaitPolicy::Never => false,
@@ -377,8 +378,7 @@ impl LookaheadScheduler {
     /// index `i`, forking the candidates when more than one arm is open.
     fn place(&self, gpu: GpuId, i: usize, ctx: &mut SchedCtx<'_>) -> Dispatch {
         let model = ctx.queued(i).model;
-        let holders = ctx.holders(model);
-        if holders.is_empty() {
+        if ctx.online_holders(model).next().is_none() {
             // Cached nowhere: the miss here is the only open arm
             // (Algorithm 2 lines 1–3) — nothing to speculate between.
             return Dispatch::Miss(ctx.take_queued(i));
@@ -390,13 +390,12 @@ impl LookaheadScheduler {
         // the strict comparison below — reproduces the baseline exactly;
         // the policy deviates only when a fork *measured* a strictly
         // better outcome than the estimate's pick.
-        let idle_hit = holders
-            .iter()
-            .copied()
+        let idle_hit = ctx
+            .online_holders(model)
             .find(|&j| j != gpu && ctx.is_idle(j) && ctx.local_backlog(j) == 0);
-        let mut waits: Vec<(SimDuration, GpuId)> = holders
-            .iter()
-            .map(|&j| (ctx.estimated_wait_for(j, model), j))
+        let mut waits: Vec<(SimDuration, GpuId)> = ctx
+            .online_holders(model)
+            .map(|j| (ctx.estimated_wait_for(j, model), j))
             .collect();
         waits.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let greedy = if let Some(j) = idle_hit {
@@ -421,9 +420,8 @@ impl LookaheadScheduler {
         // `k` forks total.
         let mut cands: Vec<SpecPlacement> = Vec::with_capacity(self.k);
         cands.push(greedy);
-        let alts = holders
-            .iter()
-            .copied()
+        let alts = ctx
+            .online_holders(model)
             .filter(|&j| j != gpu && ctx.is_idle(j) && ctx.local_backlog(j) == 0)
             .map(SpecPlacement::HitOn)
             .chain(
