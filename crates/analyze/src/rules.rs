@@ -13,7 +13,7 @@
 //! | id          | scope                | pattern                                  |
 //! |-------------|----------------------|------------------------------------------|
 //! | `hash-iter` | deterministic crates | any `HashMap` / `HashSet` use            |
-//! | `wall-clock`| all but bench/live   | `Instant` / `SystemTime`                 |
+//! | `wall-clock`| all but bench/examples | `Instant` / `SystemTime`               |
 //! | `obs-guard` | gfaas-core           | `ObsEvent::…` outside a recorder guard   |
 //! | `no-unsafe` | whole workspace      | the `unsafe` keyword                     |
 //! | `float-ord` | deterministic crates | `partial_cmp` calls, `f32`/`f64` map keys|
@@ -107,7 +107,7 @@ pub static RULES: &[Rule] = &[
     Rule {
         id: "wall-clock",
         severity: Severity::Error,
-        summary: "no Instant::now/SystemTime outside the bench crate, live mode, and examples",
+        summary: "no Instant::now/SystemTime outside the bench crate and examples",
         check: check_wall_clock,
     },
     Rule {
@@ -162,15 +162,15 @@ fn check_hash_iter(f: &FileCtx<'_>) -> Vec<Finding> {
 
 /// D2 — wall-clock reads. Virtual time (`SimTime`) is the only clock
 /// simulation logic may observe; `Instant`/`SystemTime` are allowed
-/// only where real compute is being measured: the bench crate, live
-/// mode (`live.rs`), and the umbrella examples.
+/// only where real compute is being measured: the bench crate and the
+/// umbrella examples.
 fn check_wall_clock(f: &FileCtx<'_>) -> Vec<Finding> {
-    if f.krate == "bench" || f.file_name() == "live.rs" || f.rel.starts_with("examples/") {
+    if f.krate == "bench" || f.rel.starts_with("examples/") {
         return Vec::new();
     }
     idents(f, &["Instant", "SystemTime"], |name| {
         format!(
-            "{name} outside the bench/live allowlist: simulation logic must read \
+            "{name} outside the bench/examples allowlist: simulation logic must read \
              virtual time (SimTime), never the wall clock"
         )
     })
@@ -459,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_allowlists_bench_live_and_examples() {
+    fn wall_clock_allowlists_bench_and_examples() {
         let src = "let t = std::time::Instant::now();";
         assert_eq!(
             run("wall-clock", "crates/sim/src/engine.rs", "sim", src),
@@ -470,7 +470,10 @@ mod tests {
             [1]
         );
         assert!(run("wall-clock", "crates/bench/src/lib.rs", "bench", src).is_empty());
-        assert!(run("wall-clock", "crates/core/src/live.rs", "core", src).is_empty());
+        assert_eq!(
+            run("wall-clock", "crates/core/src/live.rs", "core", src),
+            [1]
+        );
         assert!(run("wall-clock", "examples/demo.rs", "gfaas", src).is_empty());
         assert_eq!(
             run(

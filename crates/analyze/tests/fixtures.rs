@@ -45,10 +45,14 @@ fn wall_clock_fixture() {
         lint_fixture("wall_clock.rs", "crates/sim/src/bad.rs"),
         [(4, "wall-clock"), (7, "wall-clock"), (9, "wall-clock")]
     );
-    // Allowlisted locations: the bench crate, live mode, examples.
+    // Allowlisted locations: the bench crate and examples. A file name
+    // alone (`live.rs`) buys no exemption.
     assert!(lint_fixture("wall_clock.rs", "crates/bench/src/ok.rs").is_empty());
-    assert!(lint_fixture("wall_clock.rs", "crates/core/src/live.rs").is_empty());
     assert!(lint_fixture("wall_clock.rs", "examples/demo.rs").is_empty());
+    assert_eq!(
+        lint_fixture("wall_clock.rs", "crates/models/src/live.rs"),
+        [(4, "wall-clock"), (7, "wall-clock"), (9, "wall-clock")]
+    );
 }
 
 #[test]

@@ -32,9 +32,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use gfaas_faas::Datastore;
 use gfaas_gpu::{GpuDevice, GpuId, ModelId, Tier};
 use gfaas_models::ModelRegistry;
 use gfaas_obs::ledger::{Ledger, LedgerHandle, LedgerRecorder};
@@ -54,7 +52,7 @@ use crate::autoscale::{Autoscaler, ScaleDecision};
 use crate::batching::{BatchPolicy, BatchView};
 use crate::cache::{CacheManager, Evictor};
 use crate::config::{BusyWaitPolicy, ClusterConfig, ConfigError};
-use crate::gpu_manager::{lru_key, status_key, GpuUnit, HoldSlot, InFlight, Phase, UnitState};
+use crate::gpu_manager::{GpuUnit, HoldSlot, InFlight, Phase, UnitState};
 use crate::idle_index::IdleIndex;
 use crate::metrics::{MetricsCollector, MetricsImage, RunMetrics};
 use crate::policy::{PolicyRegistry, PolicySpec};
@@ -120,7 +118,6 @@ pub struct Cluster {
     crashes: u64,
     dispatch_seq: u64,
     rng: gfaas_sim::rng::DetRng,
-    datastore: Option<Arc<Datastore>>,
     /// Elastic capacity policy; `None` is the paper's fixed testbed.
     autoscaler: Option<Box<dyn Autoscaler>>,
     /// GPUs brought online / drained offline over the run.
@@ -367,7 +364,6 @@ impl Cluster {
             crashes: 0,
             dispatch_seq: 0,
             rng,
-            datastore: None,
             autoscaler,
             scale_ups: 0,
             scale_downs: 0,
@@ -447,14 +443,6 @@ impl Cluster {
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record(self.now, &ev);
         }
-    }
-
-    /// Attaches a datastore; the cluster then mirrors GPU status, LRU
-    /// lists, and completion latencies into it like the paper's components
-    /// do through etcd. Requires `config.report_to_datastore`.
-    pub fn with_datastore(mut self, ds: Arc<Datastore>) -> Self {
-        self.datastore = Some(ds);
-        self
     }
 
     /// Overrides which model Fig 6's duplicates metric tracks (defaults to
@@ -1130,7 +1118,6 @@ impl Cluster {
                 for r in &inflight.requests {
                     let latency = self.now.duration_since(r.arrival);
                     self.metrics.record_completion(latency);
-                    self.report_latency(r, latency);
                     if self.recorder.is_some() {
                         self.emit(ObsEvent::Completion {
                             req: r.id,
@@ -1175,7 +1162,6 @@ impl Cluster {
                         self.emit(ObsEvent::UnitIdle { gpu: g });
                     }
                 }
-                self.report_status(g, "idle");
                 self.maybe_finish_drain(gi);
                 self.schedule_pass(events);
             }
@@ -1241,7 +1227,6 @@ impl Cluster {
             self.emit(ObsEvent::UnitIdle { gpu: g });
         }
         self.crashes += 1;
-        self.report_status(g, "idle");
         // Retry: the crashed invocation's requests (the whole coalesced
         // batch) rejoin the global queue at the front in order, followed
         // by any of this GPU's local-queue requests that were waiting on
@@ -1337,7 +1322,6 @@ impl Cluster {
             self.store.note_scale_up(self.now);
         }
         for g in provisioned {
-            self.report_status(g, "idle");
             if self.recorder.is_some() {
                 self.emit(ObsEvent::ScaleUp { gpu: g });
                 self.emit(ObsEvent::UnitIdle { gpu: g });
@@ -1429,8 +1413,6 @@ impl Cluster {
         if self.recorder.is_some() {
             self.emit(ObsEvent::Offline { gpu: g });
         }
-        self.report_status(g, "offline");
-        self.report_lru(g);
     }
 
     // ------------------------------------------------------------------
@@ -1622,7 +1604,6 @@ impl Cluster {
                     seq,
                 });
                 self.holding_units += 1;
-                self.report_status(g, "busy");
                 events.schedule(release_at, Event::BatchHold(g, seq));
                 return;
             }
@@ -1906,7 +1887,6 @@ impl Cluster {
             seq,
             tier: Tier::HBM,
         });
-        self.report_status(g, "busy");
         self.schedule_inference_outcome(gi, done, dur, events);
     }
 
@@ -1995,7 +1975,6 @@ impl Cluster {
         for _ in 1..requests.len() {
             self.cache.touch(g, model);
         }
-        self.report_lru(g);
         let seq = self.dispatch_seq;
         self.dispatch_seq += 1;
         if self.recorder.is_some() {
@@ -2014,7 +1993,6 @@ impl Cluster {
             seq,
             tier,
         });
-        self.report_status(g, "busy");
         events.schedule(ready, Event::GpuDone(g, seq));
     }
 
@@ -2025,47 +2003,6 @@ impl Cluster {
             if self.recorder.is_some() {
                 self.emit(ObsEvent::HotReplicas { replicas });
             }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Datastore mirroring (paper Fig 2: components coordinate via etcd)
-    // ------------------------------------------------------------------
-
-    fn report_status(&self, g: GpuId, status: &str) {
-        if !self.config.report_to_datastore {
-            return;
-        }
-        if let Some(ds) = &self.datastore {
-            ds.put(status_key(g), status.to_string());
-        }
-    }
-
-    fn report_lru(&self, g: GpuId) {
-        if !self.config.report_to_datastore {
-            return;
-        }
-        if let Some(ds) = &self.datastore {
-            let list = self
-                .cache
-                .resident(g)
-                .iter()
-                .map(|m| m.0.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            ds.put(lru_key(g), list);
-        }
-    }
-
-    fn report_latency(&self, r: &Request, latency: SimDuration) {
-        if !self.config.report_to_datastore {
-            return;
-        }
-        if let Some(ds) = &self.datastore {
-            ds.put(
-                format!("/latency/{}", r.id),
-                format!("{:.6}", latency.as_secs_f64()),
-            );
         }
     }
 
@@ -2087,10 +2024,9 @@ impl Cluster {
     /// happened since — metrics, RNG, queues, residency, pending events,
     /// the arrival cursor, all of it. The pin survives, so the same
     /// snapshot can be rolled back to again. Returns false for a dead or
-    /// foreign id. Attached recorders and datastores are *not* rewound:
-    /// rolling back mid-recording leaves already-emitted telemetry in
-    /// the sinks (the lookahead forks stash the recorder first for
-    /// exactly that reason).
+    /// foreign id. An attached recorder is *not* rewound: rolling back
+    /// mid-recording leaves already-emitted telemetry in the sink (the
+    /// lookahead forks stash the recorder first for exactly that reason).
     pub fn rollback(&mut self, id: SnapId) -> bool {
         let Some(img) = self.journal.rollback(id) else {
             return false;
@@ -2420,10 +2356,10 @@ impl Cluster {
     /// Forks the world, performs one candidate placement for the queued
     /// request at `queue_index`, replays up to `horizon` pending runtime
     /// events under a plain greedy LALBO3 scheduler, scores the outcome,
-    /// and rolls everything back. The fork is invisible: recorder and
-    /// datastore are stashed for its duration, and every other mutable
-    /// bit — metrics, RNG, residency, queues, the event heap — is
-    /// journaled and restored byte-identically.
+    /// and rolls everything back. The fork is invisible: the recorder is
+    /// stashed for its duration, and every other mutable bit — metrics,
+    /// RNG, residency, queues, the event heap — is journaled and restored
+    /// byte-identically.
     pub(crate) fn speculate_placement(
         &mut self,
         events: &mut EventQueue<Event>,
@@ -2432,7 +2368,6 @@ impl Cluster {
         horizon: usize,
     ) -> SpecScore {
         let recorder = self.recorder.take();
-        let datastore = self.datastore.take();
         let id = self.journal.snapshot(self.capture_image(events));
         let completed0 = self.metrics.completed();
         let lat0 = self.metrics.latency_sample_count();
@@ -2517,7 +2452,6 @@ impl Cluster {
         let img = self.journal.take(id).expect("speculation frame is live");
         self.apply_image(img, events);
         self.recorder = recorder;
-        self.datastore = datastore;
         score
     }
 
@@ -2588,8 +2522,8 @@ impl Cluster {
 /// clones; policy objects (scheduler, batcher, store, evictor inside the
 /// cache, autoscaler) contribute their mutable state through the same
 /// save/load hooks the on-disk checkpoint uses. Scratch buffers
-/// (`batch_pool`, `idle_scratch`, `obs_scratch`) and attached sinks
-/// (recorder, datastore) are deliberately not part of the image.
+/// (`batch_pool`, `idle_scratch`, `obs_scratch`) and the attached
+/// recorder are deliberately not part of the image.
 #[derive(Clone)]
 struct ClusterImage {
     units: Vec<GpuUnit>,
@@ -3276,6 +3210,14 @@ mod tests {
         ModelRegistry::from_specs(specs)
     }
 
+    /// Latency in seconds of request `req`, read from the run's ledger.
+    fn ledger_latency(c: &Cluster, req: u64) -> f64 {
+        let ledger = c.ledger().expect("ledger recorded");
+        let row = ledger.rows().iter().find(|r| r.req == req).expect("row");
+        assert!(row.completed, "request {req} completed");
+        row.latency.as_secs_f64()
+    }
+
     fn trace_of(reqs: &[(f64, u32)]) -> Trace {
         Trace::new(
             reqs.iter()
@@ -3417,23 +3359,18 @@ mod tests {
         // skipping the m1 head in favour of the m0 hits, incrementing its
         // visit counter each pass; once the counter reaches the limit the
         // head must be dispatched regardless. We read the per-request
-        // latency back through the datastore mirror.
+        // latency back from the lifecycle ledger.
         let run = |limit: u32| {
             let mut cfg = ClusterConfig::test(1, 250, Policy::lalb_with_limit(limit));
-            cfg.report_to_datastore = true;
-            let ds = Arc::new(Datastore::new());
-            let mut c = Cluster::new(cfg, toy_registry(2)).with_datastore(Arc::clone(&ds));
+            cfg.record.ledger = true;
+            let mut c = Cluster::new(cfg, toy_registry(2));
             let mut reqs = vec![(0.0, 0), (0.1, 1)]; // id 0 = m0, id 1 = m1
             for i in 0..20 {
                 reqs.push((0.2 + i as f64 * 0.01, 0));
             }
             let m = c.run(&trace_of(&reqs));
             assert_eq!(m.completed, 22);
-            let lat: f64 = String::from_utf8(ds.get("/latency/1").unwrap().value.to_vec())
-                .unwrap()
-                .parse()
-                .unwrap();
-            lat
+            ledger_latency(&c, 1)
         };
         // Limit 2: m1 is skipped twice (t=2, t=3 passes), then force-
         // dispatched: load 4→5, infer 5→6 → latency ≈ 5.9 s.
@@ -3492,21 +3429,6 @@ mod tests {
         assert_eq!(m.completed, 50);
         assert!(m.makespan_secs > 50.0, "50 × ≥1 s of serial inference");
         assert!(m.queue_peak > 10);
-    }
-
-    #[test]
-    fn datastore_mirroring_writes_keys() {
-        let ds = Arc::new(Datastore::new());
-        let mut cfg = ClusterConfig::test(1, 1000, Policy::lalb());
-        cfg.report_to_datastore = true;
-        let mut c = Cluster::new(cfg, toy_registry(1)).with_datastore(Arc::clone(&ds));
-        c.run(&trace_of(&[(0.0, 0)]));
-        assert_eq!(
-            ds.get("/gpu/0/status").unwrap().value,
-            bytes::Bytes::from_static(b"idle")
-        );
-        assert!(ds.get("/gpu/0/lru").is_some());
-        assert!(ds.get("/latency/0").is_some());
     }
 
     #[test]
@@ -3569,9 +3491,8 @@ mod tests {
         let mut cfg = ClusterConfig::test(2, 1000, Policy::lalbo3());
         cfg.num_tenants = 2;
         cfg.tenant_max_inflight = Some(1);
-        cfg.report_to_datastore = true;
-        let ds = Arc::new(Datastore::new());
-        let mut c = Cluster::new(cfg, toy_registry(2)).with_datastore(Arc::clone(&ds));
+        cfg.record.ledger = true;
+        let mut c = Cluster::new(cfg, toy_registry(2));
         // ids: 0..4 are tenant 0 (function 0 → model 0); id 5 is tenant 1.
         let m = c.run(&trace_of(&[
             (0.0, 0),
@@ -3582,10 +3503,7 @@ mod tests {
             (0.1, 1),
         ]));
         assert_eq!(m.completed, 6);
-        let lat: f64 = String::from_utf8(ds.get("/latency/5").unwrap().value.to_vec())
-            .unwrap()
-            .parse()
-            .unwrap();
+        let lat = ledger_latency(&c, 5);
         // Tenant 1's request cold-loads immediately on the second GPU:
         // ~2 s, not behind tenant 0's ~6 s backlog.
         assert!(lat < 2.5, "tenant 1 latency {lat}");
@@ -4106,6 +4024,7 @@ mod tests {
     #[test]
     fn min_wait_holder_matches_a_full_estimator_sweep() {
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
         /// LALB+O3, checking before every decision that the pruned
         /// holder search returns the full sweep's minimum for each
         /// queued model.

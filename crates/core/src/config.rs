@@ -188,10 +188,6 @@ pub struct ClusterConfig {
     pub store: StoreSpec,
     /// RNG seed (random replacement, tie-breaking, crash injection).
     pub seed: u64,
-    /// Mirror GPU status / LRU lists / latencies into the Datastore, as the
-    /// paper's components do through etcd. Off by default in benchmarks —
-    /// it is observability, not behaviour.
-    pub report_to_datastore: bool,
     /// Event recording: which [`gfaas_obs`] recorders to attach
     /// (lifecycle ledger, Perfetto trace export, time-series sampler)
     /// — the `--record` CLI axis. Off by default everywhere; with the
@@ -227,7 +223,6 @@ impl ClusterConfig {
             store: StoreSpec::default(),
             crash_rate: 0.0,
             seed: 0x6fa5,
-            report_to_datastore: false,
             record: RecordSpec::default(),
         }
     }
@@ -251,7 +246,6 @@ impl ClusterConfig {
             store: StoreSpec::default(),
             crash_rate: 0.0,
             seed: 1,
-            report_to_datastore: false,
             record: RecordSpec::default(),
         }
     }

@@ -388,18 +388,6 @@ impl GpuUnit {
     }
 }
 
-/// Status string the GPU Manager publishes to the Datastore (paper: the
-/// Scheduler reads GPU busy/idle status and estimated finish times from
-/// etcd).
-pub fn status_key(gpu: GpuId) -> String {
-    format!("/gpu/{}/status", gpu.0)
-}
-
-/// Datastore key for a GPU's LRU list.
-pub fn lru_key(gpu: GpuId) -> String {
-    format!("/gpu/{}/lru", gpu.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,11 +535,5 @@ mod tests {
             .unwrap();
         assert_eq!(drained.duration_since(ready), estimate);
         assert_eq!(estimate, d(17));
-    }
-
-    #[test]
-    fn datastore_keys_are_stable() {
-        assert_eq!(status_key(GpuId(7)), "/gpu/7/status");
-        assert_eq!(lru_key(GpuId(0)), "/gpu/0/lru");
     }
 }

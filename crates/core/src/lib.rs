@@ -1,8 +1,9 @@
 //! `gfaas-core` — the paper's contribution: GPU-enabled FaaS with
 //! co-designed scheduling and cache management.
 //!
-//! Three components extend the FaaS substrate (`gfaas-faas`) with GPU
-//! support (paper Fig 2):
+//! Three components add GPU support to the FaaS platform (paper Fig 2;
+//! the platform substrate itself lives in `gfaas-faas`, which mirrors a
+//! run into its datastore through the [`obs::Recorder`] hooks):
 //!
 //! * [`cache::CacheManager`] — global; treats models uploaded to each GPU's
 //!   memory as cache items, asks its pluggable [`cache::Evictor`] for
@@ -46,7 +47,6 @@ pub mod cluster;
 pub mod config;
 pub mod gpu_manager;
 mod idle_index;
-pub mod live;
 pub mod metrics;
 pub mod policy;
 pub mod request;
@@ -81,7 +81,6 @@ pub use cluster::{Cluster, ScaleView, SchedCtx, SpecPlacement, SpecScore};
 pub use config::{ClusterConfig, ConfigError};
 pub use gfaas_obs::{NullRecorder, ObsEvent, RecordSpec, Recorder, SelfProfile};
 pub use gfaas_store::{FlatStore, ModelStore, StoreError, StoreSpec, StoreStats, TieredStore};
-pub use live::{LiveResponse, LiveServer};
 pub use metrics::RunMetrics;
 pub use policy::{PolicyError, PolicyRegistry, PolicySpec};
 pub use request::Request;

@@ -1,11 +1,9 @@
 //! The store itself: revisions, ranges, transactions, watches, leases.
 
 use std::collections::BTreeMap;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 
-use bytes::Bytes;
-use crossbeam::channel::unbounded;
 use gfaas_sim::time::{SimDuration, SimTime};
-use parking_lot::Mutex;
 
 use super::lease::{Lease, LeaseId};
 use super::txn::{Compare, Op, TxnResult};
@@ -21,7 +19,7 @@ pub struct KeyValue {
     /// The key.
     pub key: String,
     /// The value.
-    pub value: Bytes,
+    pub value: Vec<u8>,
     /// Revision at which the key was created.
     pub create_revision: Revision,
     /// Revision of the last modification.
@@ -54,7 +52,7 @@ impl Inner {
         self.watchers.retain(|w| w.offer(&event));
     }
 
-    fn put(&mut self, key: &str, value: Bytes, lease: Option<LeaseId>) -> Revision {
+    fn put(&mut self, key: &str, value: Vec<u8>, lease: Option<LeaseId>) -> Revision {
         let rev = self.bump();
         let kv = match self.map.get_mut(key) {
             Some(existing) => {
@@ -92,7 +90,7 @@ impl Inner {
         self.notify(WatchEvent {
             kind: WatchEventKind::Delete,
             key: key.to_string(),
-            value: Bytes::new(),
+            value: Vec::new(),
             revision: rev,
         });
         Some(rev)
@@ -123,37 +121,41 @@ impl Datastore {
         Datastore::default()
     }
 
+    /// Locks the store. No store operation panics partway through an
+    /// update, so even a poisoned lock guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The current revision.
     pub fn revision(&self) -> Revision {
-        Revision(self.inner.lock().revision)
+        Revision(self.lock().revision)
     }
 
     /// Writes a key, returning the new revision.
-    pub fn put(&self, key: impl AsRef<str>, value: impl Into<Bytes>) -> Revision {
-        self.inner.lock().put(key.as_ref(), value.into(), None)
+    pub fn put(&self, key: impl AsRef<str>, value: impl Into<Vec<u8>>) -> Revision {
+        self.lock().put(key.as_ref(), value.into(), None)
     }
 
     /// Writes a key attached to a lease.
     pub fn put_with_lease(
         &self,
         key: impl AsRef<str>,
-        value: impl Into<Bytes>,
+        value: impl Into<Vec<u8>>,
         lease: LeaseId,
     ) -> Revision {
-        self.inner
-            .lock()
-            .put(key.as_ref(), value.into(), Some(lease))
+        self.lock().put(key.as_ref(), value.into(), Some(lease))
     }
 
     /// Reads a key.
     pub fn get(&self, key: impl AsRef<str>) -> Option<KeyValue> {
-        self.inner.lock().map.get(key.as_ref()).cloned()
+        self.lock().map.get(key.as_ref()).cloned()
     }
 
     /// Reads all keys with the given prefix, in key order.
     pub fn range(&self, prefix: impl AsRef<str>) -> Vec<KeyValue> {
         let prefix = prefix.as_ref();
-        let inner = self.inner.lock();
+        let inner = self.lock();
         inner
             .map
             .range(prefix.to_string()..)
@@ -164,12 +166,12 @@ impl Datastore {
 
     /// Deletes a key; returns the revision if it existed.
     pub fn delete(&self, key: impl AsRef<str>) -> Option<Revision> {
-        self.inner.lock().delete(key.as_ref())
+        self.lock().delete(key.as_ref())
     }
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lock().map.len()
     }
 
     /// True iff the store holds no keys.
@@ -180,7 +182,7 @@ impl Datastore {
     /// Atomically: if all `compares` hold, apply `then_ops`, else
     /// `else_ops` (etcd's transaction).
     pub fn txn(&self, compares: &[Compare], then_ops: &[Op], else_ops: &[Op]) -> TxnResult {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let succeeded = compares.iter().all(|c| inner.check(c));
         let ops = if succeeded { then_ops } else { else_ops };
         for op in ops {
@@ -203,8 +205,8 @@ impl Datastore {
     /// this call are delivered in revision order.
     pub fn watch(&self, prefix: impl Into<String>) -> Watcher {
         let prefix = prefix.into();
-        let (tx, rx) = unbounded();
-        self.inner.lock().watchers.push(WatchSink {
+        let (tx, rx) = mpsc::channel();
+        self.lock().watchers.push(WatchSink {
             prefix: prefix.clone(),
             tx,
         });
@@ -213,7 +215,7 @@ impl Datastore {
 
     /// Grants a lease with the given TTL starting at `now`.
     pub fn lease_grant(&self, now: SimTime, ttl: SimDuration) -> LeaseId {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let id = LeaseId(inner.next_lease);
         inner.next_lease += 1;
         inner.leases.insert(id, Lease::new(now, ttl));
@@ -222,7 +224,7 @@ impl Datastore {
 
     /// Refreshes a lease; returns false if it no longer exists.
     pub fn lease_keepalive(&self, id: LeaseId, now: SimTime) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         match inner.leases.get_mut(&id) {
             Some(l) => {
                 l.keepalive(now);
@@ -235,7 +237,7 @@ impl Datastore {
     /// Expires due leases at `now`, deleting their keys (with delete events).
     /// Returns the deleted keys.
     pub fn expire_leases(&self, now: SimTime) -> Vec<String> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let dead: Vec<LeaseId> = inner
             .leases
             .iter()
@@ -264,8 +266,8 @@ impl Datastore {
 mod tests {
     use super::*;
 
-    fn b(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
+    fn b(s: &str) -> Vec<u8> {
+        s.as_bytes().to_vec()
     }
 
     #[test]
@@ -454,7 +456,7 @@ mod tests {
             let ds = Arc::clone(&ds);
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
-                    ds.put(format!("t{t}/k{i}"), Bytes::from(vec![t as u8]));
+                    ds.put(format!("t{t}/k{i}"), vec![t as u8]);
                 }
             }));
         }

@@ -1,7 +1,5 @@
 //! Compare-and-swap transactions (etcd's `Txn`).
 
-use bytes::Bytes;
-
 use super::kv::Revision;
 
 /// A guard evaluated against the current store state.
@@ -12,7 +10,7 @@ pub enum Compare {
     /// True iff the key is absent.
     NotExists(String),
     /// True iff the key exists with exactly this value.
-    ValueEquals(String, Bytes),
+    ValueEquals(String, Vec<u8>),
     /// True iff the key's last-modification revision equals this.
     ModRevisionEquals(String, Revision),
 }
@@ -21,7 +19,7 @@ pub enum Compare {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Write a key.
-    Put(String, Bytes),
+    Put(String, Vec<u8>),
     /// Remove a key.
     Delete(String),
 }

@@ -1,7 +1,6 @@
 //! Watch channels: prefix-scoped change feeds.
 
-use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 
 use super::kv::Revision;
 
@@ -22,7 +21,7 @@ pub struct WatchEvent {
     /// The affected key.
     pub key: String,
     /// The value after a put; empty for deletes.
-    pub value: Bytes,
+    pub value: Vec<u8>,
     /// The store revision at which the change happened.
     pub revision: Revision,
 }
@@ -42,10 +41,7 @@ impl Watcher {
 
     /// Pops the next pending event without blocking.
     pub fn try_next(&self) -> Option<WatchEvent> {
-        match self.rx.try_recv() {
-            Ok(e) => Some(e),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
+        self.rx.try_recv().ok()
     }
 
     /// Drains all pending events.

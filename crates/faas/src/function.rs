@@ -1,6 +1,5 @@
 //! Function specs, invocations, and results.
 
-use bytes::Bytes;
 use gfaas_sim::time::{SimDuration, SimTime};
 
 /// How a function's body executes.
@@ -74,7 +73,7 @@ pub struct Invocation {
     /// The invoked function's name.
     pub function: String,
     /// Request payload (input images, serialized).
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
     /// Arrival time at the Gateway.
     pub arrived_at: SimTime,
     /// Batch size for inference functions.
@@ -87,7 +86,7 @@ pub struct InvocationResult {
     /// The invocation this answers.
     pub id: u64,
     /// Response payload (e.g. predicted labels, serialized).
-    pub output: Bytes,
+    pub output: Vec<u8>,
     /// End-to-end latency (queueing + load-if-miss + inference).
     pub latency: SimDuration,
     /// Whether the model was already cached on the serving GPU.

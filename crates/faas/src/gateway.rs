@@ -8,16 +8,15 @@
 //! (the paper's transparent rewrite, §III-A). CPU functions run through the
 //! local [`crate::watchdog::Watchdog`].
 
-use bytes::Bytes;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
 use gfaas_sim::time::SimTime;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 use crate::datastore::Datastore;
 use crate::function::{FunctionSpec, Invocation, InvocationResult, Runtime};
 
-/// Routes GPU invocations to the GPU scheduler. `gfaas-core` implements
-/// this for the live cluster; tests use stubs.
+/// Routes GPU invocations to the GPU scheduler; tests use stubs.
 pub trait Dispatcher: Send {
     /// Accepts one invocation for asynchronous GPU execution; the result is
     /// delivered through the dispatcher's own completion path.
@@ -27,7 +26,7 @@ pub trait Dispatcher: Send {
 /// Runs CPU function bodies (the Watchdog's execution hook).
 pub trait CpuRunner: Send {
     /// Executes the function synchronously, returning its output payload.
-    fn run(&mut self, invocation: &Invocation) -> Bytes;
+    fn run(&mut self, invocation: &Invocation) -> Vec<u8>;
 }
 
 /// Errors surfaced to the end user by the Gateway.
@@ -64,7 +63,7 @@ pub struct Gateway {
     datastore: Arc<Datastore>,
     dispatcher: Option<Box<dyn Dispatcher>>,
     registry: Mutex<Vec<FunctionSpec>>,
-    next_invocation: Mutex<u64>,
+    next_invocation: AtomicU64,
 }
 
 impl Gateway {
@@ -74,8 +73,14 @@ impl Gateway {
             datastore,
             dispatcher: None,
             registry: Mutex::new(Vec::new()),
-            next_invocation: Mutex::new(0),
+            next_invocation: AtomicU64::new(0),
         }
+    }
+
+    /// Locks the function registry. No registry edit panics partway, so
+    /// even a poisoned lock guards a consistent list.
+    fn registry(&self) -> MutexGuard<'_, Vec<FunctionSpec>> {
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Attaches the GPU dispatcher (the scheduler frontend).
@@ -96,7 +101,7 @@ impl Gateway {
         if spec.batch_size == 0 {
             return Err(GatewayError::Invalid("zero batch size"));
         }
-        let mut reg = self.registry.lock();
+        let mut reg = self.registry();
         if reg.iter().any(|f| f.name == spec.name) {
             return Err(GatewayError::AlreadyRegistered(spec.name));
         }
@@ -117,16 +122,12 @@ impl Gateway {
 
     /// Reads a registered spec (the `read` of CRUD).
     pub fn get(&self, name: &str) -> Option<FunctionSpec> {
-        self.registry
-            .lock()
-            .iter()
-            .find(|f| f.name == name)
-            .cloned()
+        self.registry().iter().find(|f| f.name == name).cloned()
     }
 
     /// Replaces a registered spec (the `update` of CRUD).
     pub fn update(&self, spec: FunctionSpec) -> Result<Runtime, GatewayError> {
-        let mut reg = self.registry.lock();
+        let mut reg = self.registry();
         let slot = reg
             .iter_mut()
             .find(|f| f.name == spec.name)
@@ -138,7 +139,7 @@ impl Gateway {
 
     /// Removes a function (the `delete` of CRUD).
     pub fn deregister(&self, name: &str) -> Result<(), GatewayError> {
-        let mut reg = self.registry.lock();
+        let mut reg = self.registry();
         let before = reg.len();
         reg.retain(|f| f.name != name);
         if reg.len() == before {
@@ -150,24 +151,21 @@ impl Gateway {
 
     /// All registered functions.
     pub fn list(&self) -> Vec<FunctionSpec> {
-        self.registry.lock().clone()
+        self.registry().clone()
     }
 
     /// Builds an invocation record for a function call arriving at `now`.
     pub fn make_invocation(
         &self,
         name: &str,
-        payload: Bytes,
+        payload: Vec<u8>,
         now: SimTime,
     ) -> Result<Invocation, GatewayError> {
         let spec = self
             .get(name)
             .ok_or_else(|| GatewayError::NotFound(name.to_string()))?;
-        let mut next = self.next_invocation.lock();
-        let id = *next;
-        *next += 1;
         Ok(Invocation {
-            id,
+            id: self.next_invocation.fetch_add(1, Ordering::Relaxed),
             function: spec.name,
             payload,
             arrived_at: now,
@@ -181,7 +179,7 @@ impl Gateway {
     pub fn invoke(
         &mut self,
         name: &str,
-        payload: Bytes,
+        payload: Vec<u8>,
         now: SimTime,
         cpu_runner: &mut dyn CpuRunner,
     ) -> Result<Option<InvocationResult>, GatewayError> {
@@ -214,7 +212,7 @@ mod tests {
 
     struct Echo;
     impl CpuRunner for Echo {
-        fn run(&mut self, inv: &Invocation) -> Bytes {
+        fn run(&mut self, inv: &Invocation) -> Vec<u8> {
             inv.payload.clone()
         }
     }
@@ -222,7 +220,7 @@ mod tests {
     struct Collect(Arc<Mutex<Vec<Invocation>>>);
     impl Dispatcher for Collect {
         fn dispatch(&mut self, invocation: Invocation) {
-            self.0.lock().push(invocation);
+            self.0.lock().unwrap().push(invocation);
         }
     }
 
@@ -289,10 +287,10 @@ mod tests {
         let mut g = gw();
         g.register(FunctionSpec::cpu("echo", "img")).unwrap();
         let out = g
-            .invoke("echo", Bytes::from_static(b"hi"), SimTime::ZERO, &mut Echo)
+            .invoke("echo", b"hi".to_vec(), SimTime::ZERO, &mut Echo)
             .unwrap()
             .unwrap();
-        assert_eq!(out.output, Bytes::from_static(b"hi"));
+        assert_eq!(out.output, b"hi".to_vec());
     }
 
     #[test]
@@ -303,15 +301,10 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         g.set_dispatcher(Box::new(Collect(Arc::clone(&seen))));
         let res = g
-            .invoke(
-                "cls",
-                Bytes::from_static(b"img"),
-                SimTime::from_secs(3),
-                &mut Echo,
-            )
+            .invoke("cls", b"img".to_vec(), SimTime::from_secs(3), &mut Echo)
             .unwrap();
         assert!(res.is_none(), "GPU path completes asynchronously");
-        let got = seen.lock();
+        let got = seen.lock().unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].function, "cls");
         assert_eq!(got[0].batch_size, 32);
@@ -324,7 +317,7 @@ mod tests {
         g.register(FunctionSpec::gpu_inference("cls", "vgg16", 32))
             .unwrap();
         assert_eq!(
-            g.invoke("cls", Bytes::new(), SimTime::ZERO, &mut Echo)
+            g.invoke("cls", Vec::new(), SimTime::ZERO, &mut Echo)
                 .unwrap_err(),
             GatewayError::NoDispatcher
         );
@@ -334,8 +327,8 @@ mod tests {
     fn invocation_ids_are_monotone() {
         let g = gw();
         g.register(FunctionSpec::cpu("f", "img")).unwrap();
-        let a = g.make_invocation("f", Bytes::new(), SimTime::ZERO).unwrap();
-        let b = g.make_invocation("f", Bytes::new(), SimTime::ZERO).unwrap();
+        let a = g.make_invocation("f", Vec::new(), SimTime::ZERO).unwrap();
+        let b = g.make_invocation("f", Vec::new(), SimTime::ZERO).unwrap();
         assert!(b.id > a.id);
     }
 
@@ -343,7 +336,7 @@ mod tests {
     fn unknown_function_not_found() {
         let mut g = gw();
         assert_eq!(
-            g.invoke("ghost", Bytes::new(), SimTime::ZERO, &mut Echo)
+            g.invoke("ghost", Vec::new(), SimTime::ZERO, &mut Echo)
                 .unwrap_err(),
             GatewayError::NotFound("ghost".into())
         );

@@ -18,6 +18,9 @@
 //! * [`watchdog`] — runs the function body in its container and records
 //!   execution metrics to the datastore.
 //! * [`container`] — container lifecycle and per-function scaling.
+//! * [`mirror`] — a cluster [`gfaas_obs::Recorder`] that publishes GPU
+//!   status, LRU lists, and request latencies into the datastore, as the
+//!   paper's components do through etcd (Fig 2).
 
 #![warn(missing_docs)]
 
@@ -25,8 +28,10 @@ pub mod container;
 pub mod datastore;
 pub mod function;
 pub mod gateway;
+pub mod mirror;
 pub mod watchdog;
 
 pub use datastore::{Datastore, Revision, WatchEvent};
 pub use function::{FunctionSpec, Invocation, InvocationResult, Runtime};
 pub use gateway::{Dispatcher, Gateway, GatewayError};
+pub use mirror::DatastoreMirror;

@@ -6,12 +6,10 @@
 //! wraps a [`crate::gateway::CpuRunner`] and records one metrics key per
 //! completed invocation plus rolling per-function aggregates.
 
-use std::sync::Arc;
-
-use bytes::Bytes;
-use gfaas_sim::time::{SimDuration, SimTime};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use gfaas_sim::time::{SimDuration, SimTime};
 
 use crate::datastore::Datastore;
 use crate::function::{Invocation, InvocationResult};
@@ -59,6 +57,12 @@ impl Watchdog {
         }
     }
 
+    /// Locks the aggregates. No update panics partway, so even a poisoned
+    /// lock guards consistent statistics.
+    fn stats_map(&self) -> MutexGuard<'_, HashMap<String, FunctionStats>> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Runs a CPU function body and records its metrics. `started_at` and
     /// `finished_at` come from the caller's clock (virtual or wall).
     pub fn execute(
@@ -87,7 +91,7 @@ impl Watchdog {
             format!("{METRICS_PREFIX}{function}/{invocation_id}"),
             format!("latency={secs:.6};ok={ok}"),
         );
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats_map();
         let entry = stats.entry(function.to_string()).or_default();
         entry.count += 1;
         entry.total_latency_secs += secs;
@@ -105,15 +109,15 @@ impl Watchdog {
 
     /// Current aggregates for one function.
     pub fn stats(&self, function: &str) -> FunctionStats {
-        self.stats.lock().get(function).copied().unwrap_or_default()
+        self.stats_map().get(function).copied().unwrap_or_default()
     }
 }
 
 /// A trivial runner that returns a fixed payload; handy in tests/examples.
-pub struct ConstRunner(pub Bytes);
+pub struct ConstRunner(pub Vec<u8>);
 
 impl CpuRunner for ConstRunner {
-    fn run(&mut self, _invocation: &Invocation) -> Bytes {
+    fn run(&mut self, _invocation: &Invocation) -> Vec<u8> {
         self.0.clone()
     }
 }
@@ -126,7 +130,7 @@ mod tests {
         Invocation {
             id,
             function: f.to_string(),
-            payload: Bytes::new(),
+            payload: Vec::new(),
             arrived_at: SimTime::ZERO,
             batch_size: 1,
         }
@@ -136,14 +140,14 @@ mod tests {
     fn execute_reports_latency_and_output() {
         let ds = Arc::new(Datastore::new());
         let wd = Watchdog::new(Arc::clone(&ds));
-        let mut runner = ConstRunner(Bytes::from_static(b"out"));
+        let mut runner = ConstRunner(b"out".to_vec());
         let r = wd.execute(
             &inv(1, "f"),
             &mut runner,
             SimTime::from_secs(10),
             SimTime::from_secs(12),
         );
-        assert_eq!(r.output, Bytes::from_static(b"out"));
+        assert_eq!(r.output, b"out".to_vec());
         assert_eq!(r.latency, SimDuration::from_secs(2));
         let kv = ds.get("/metrics/invocations/f/1").unwrap();
         assert!(String::from_utf8(kv.value.to_vec())

@@ -1,7 +1,6 @@
 //! Property tests for the etcd-like datastore: revision monotonicity,
 //! range consistency, and watch completeness under arbitrary op streams.
 
-use bytes::Bytes;
 use gfaas_faas::datastore::WatchEventKind;
 use gfaas_faas::Datastore;
 use proptest::prelude::*;
@@ -100,7 +99,7 @@ proptest! {
             prop_assert_eq!(ev.kind, *kind);
             prop_assert_eq!(&ev.key, k);
             if let Some(v) = v {
-                prop_assert_eq!(&ev.value, &Bytes::from(vec![*v]));
+                prop_assert_eq!(&ev.value, &vec![*v]);
             }
             if let Some(lr) = last_rev {
                 prop_assert!(ev.revision > lr);

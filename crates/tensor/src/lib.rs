@@ -17,7 +17,7 @@
 //! deterministic weight initialisation.
 //!
 //! Parallelism follows the workspace's HPC guides: data-parallel loops over
-//! disjoint output chunks via `crossbeam::scope` ([`parallel`]), no locks on
+//! disjoint output chunks via `std::thread::scope` ([`parallel`]), no locks on
 //! the hot path, and a serial fast path when the work is too small to
 //! amortise thread spawn.
 

@@ -1,4 +1,4 @@
-//! Data-parallel helpers built on `crossbeam::scope`.
+//! Data-parallel helpers built on `std::thread::scope`.
 //!
 //! The kernels in [`crate::ops`] all reduce to "fill N disjoint output
 //! chunks". [`par_chunks_mut`] splits those chunks across worker threads;
@@ -53,18 +53,18 @@ where
     }
     let nchunks = out.len().div_ceil(chunk_len);
     let per_worker = nchunks.div_ceil(nthreads);
-    crossbeam::scope(|s| {
+    // A panicking worker re-panics here once every worker has joined.
+    std::thread::scope(|s| {
         for (w, worker_slab) in out.chunks_mut(per_worker * chunk_len).enumerate() {
             let f = &f;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let base = w * per_worker;
                 for (i, chunk) in worker_slab.chunks_mut(chunk_len).enumerate() {
                     f(base + i, chunk);
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 /// Parallel iteration over an index range with a per-index closure that
@@ -81,7 +81,7 @@ where
         return;
     }
     let per_worker = n.div_ceil(nthreads);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..nthreads {
             let f = &f;
             let start = w * per_worker;
@@ -89,14 +89,13 @@ where
             if start >= end {
                 break;
             }
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in start..end {
                     f(i);
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 #[cfg(test)]

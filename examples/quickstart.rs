@@ -6,8 +6,9 @@
 //!    paper's transparent interface replacement),
 //! 3. build the 12-GPU cluster with the locality-aware scheduler,
 //! 4. run a small Azure-like workload and read the metrics — including
-//!    the GPU status and latency records the cluster mirrors into the
-//!    same etcd-like Datastore the real system would use.
+//!    the GPU status and latency records a [`DatastoreMirror`] recorder
+//!    publishes into the same etcd-like Datastore the real system would
+//!    use.
 //!
 //! ```text
 //! cargo run --release -p gfaas-bench --example quickstart
@@ -16,7 +17,7 @@
 use std::sync::Arc;
 
 use gfaas_core::{Cluster, ClusterConfig, Policy};
-use gfaas_faas::{Datastore, FunctionSpec, Gateway, Runtime};
+use gfaas_faas::{Datastore, DatastoreMirror, FunctionSpec, Gateway, Runtime};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::AzureTraceConfig;
 
@@ -48,9 +49,9 @@ fn main() {
     );
 
     // --- 3. The GPU cluster ------------------------------------------------
-    let mut config = ClusterConfig::paper_testbed(Policy::lalbo3());
-    config.report_to_datastore = true;
-    let mut cluster = Cluster::new(config, registry).with_datastore(Arc::clone(&datastore));
+    let config = ClusterConfig::paper_testbed(Policy::lalbo3());
+    let mut cluster = Cluster::new(config, registry);
+    cluster.set_recorder(Box::new(DatastoreMirror::new(Arc::clone(&datastore))));
 
     // --- 4. Run a workload -------------------------------------------------
     let trace = AzureTraceConfig::paper(15, 7).generate();

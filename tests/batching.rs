@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use gfaas_bench::{run_batched_on_trace, AveragedMetrics, REPORT_SEEDS};
 use gfaas_core::{Cluster, ClusterConfig, Policy, PolicySpec, RunMetrics};
-use gfaas_faas::Datastore;
+use gfaas_faas::{Datastore, DatastoreMirror};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::Trace;
 use gfaas_workload::{registry, scenario::find, Scale};
@@ -27,10 +27,10 @@ use proptest::prelude::*;
 fn run_mirrored(batching: &str, trace: &Trace, crash_rate: f64) -> (RunMetrics, Arc<Datastore>) {
     let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
     cfg.batching = batching.parse().unwrap();
-    cfg.report_to_datastore = true;
     cfg.crash_rate = crash_rate;
     let ds = Arc::new(Datastore::new());
-    let mut cluster = Cluster::new(cfg, ModelRegistry::table1()).with_datastore(Arc::clone(&ds));
+    let mut cluster = Cluster::new(cfg, ModelRegistry::table1());
+    cluster.set_recorder(Box::new(DatastoreMirror::new(Arc::clone(&ds))));
     (cluster.run(trace), ds)
 }
 

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use gfaas_core::{Cluster, ClusterConfig, Policy};
-use gfaas_faas::{Datastore, FunctionSpec, Gateway, Runtime};
+use gfaas_faas::{Datastore, DatastoreMirror, FunctionSpec, Gateway, Runtime};
 use gfaas_models::ModelRegistry;
 use gfaas_trace::{AzureTraceConfig, Trace};
 
@@ -24,9 +24,8 @@ fn gateway_to_cluster_to_datastore() {
     assert_eq!(ds.range("/functions/").len(), 22);
 
     // Run a workload with datastore mirroring on.
-    let mut cfg = ClusterConfig::paper_testbed(Policy::lalbo3());
-    cfg.report_to_datastore = true;
-    let mut cluster = Cluster::new(cfg, registry).with_datastore(Arc::clone(&ds));
+    let mut cluster = Cluster::new(ClusterConfig::paper_testbed(Policy::lalbo3()), registry);
+    cluster.set_recorder(Box::new(DatastoreMirror::new(Arc::clone(&ds))));
     let trace = AzureTraceConfig::paper(15, 3).generate();
     let m = cluster.run(&trace);
 
@@ -34,7 +33,7 @@ fn gateway_to_cluster_to_datastore() {
     // Every GPU reported a final status, every request a latency.
     for g in 0..12 {
         let kv = ds.get(format!("/gpu/{g}/status")).expect("status key");
-        assert_eq!(kv.value.as_ref(), b"idle", "all GPUs idle after drain");
+        assert_eq!(kv.value, b"idle", "all GPUs idle after drain");
     }
     assert_eq!(ds.range("/latency/").len(), trace.len());
     // The mean of mirrored latencies equals the reported average.
@@ -72,15 +71,15 @@ fn csv_trace_round_trips_through_the_cluster() {
 fn watch_observes_gpu_status_transitions() {
     let ds = Arc::new(Datastore::new());
     let watcher = ds.watch("/gpu/");
-    let mut cfg = ClusterConfig::paper_testbed(Policy::lalb());
-    cfg.report_to_datastore = true;
-    let mut cluster = Cluster::new(cfg, ModelRegistry::table1()).with_datastore(Arc::clone(&ds));
+    let cfg = ClusterConfig::paper_testbed(Policy::lalb());
+    let mut cluster = Cluster::new(cfg, ModelRegistry::table1());
+    cluster.set_recorder(Box::new(DatastoreMirror::new(Arc::clone(&ds))));
     cluster.run(&AzureTraceConfig::paper(15, 5).generate());
     let events = watcher.drain();
     assert!(!events.is_empty());
     // Status events alternate busy/idle per GPU; ensure both appear.
-    let busy = events.iter().any(|e| e.value.as_ref() == b"busy");
-    let idle = events.iter().any(|e| e.value.as_ref() == b"idle");
+    let busy = events.iter().any(|e| e.value == b"busy");
+    let idle = events.iter().any(|e| e.value == b"idle");
     assert!(busy && idle);
     // Revisions are monotone in delivery order.
     for pair in events.windows(2) {

@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use gfaas_faas::container::{ContainerPool, ScalingPolicy};
 use gfaas_faas::datastore::{Compare, Op};
 use gfaas_faas::gateway::CpuRunner;
@@ -14,12 +13,10 @@ use gfaas_sim::time::{SimDuration, SimTime};
 
 struct Upper;
 impl CpuRunner for Upper {
-    fn run(&mut self, inv: &Invocation) -> Bytes {
-        Bytes::from(
-            String::from_utf8_lossy(&inv.payload)
-                .to_uppercase()
-                .into_bytes(),
-        )
+    fn run(&mut self, inv: &Invocation) -> Vec<u8> {
+        String::from_utf8_lossy(&inv.payload)
+            .to_uppercase()
+            .into_bytes()
     }
 }
 
@@ -35,7 +32,7 @@ fn cpu_function_lifecycle_with_metrics() {
     // Invoke through the gateway; then report via the watchdog, as the
     // container would.
     let inv = gateway
-        .make_invocation("shout", Bytes::from_static(b"hello"), SimTime::from_secs(1))
+        .make_invocation("shout", b"hello".to_vec(), SimTime::from_secs(1))
         .unwrap();
     let result = watchdog.execute(
         &inv,
@@ -43,7 +40,7 @@ fn cpu_function_lifecycle_with_metrics() {
         SimTime::from_secs(1),
         SimTime::from_secs(1) + SimDuration::from_millis(120),
     );
-    assert_eq!(result.output, Bytes::from_static(b"HELLO"));
+    assert_eq!(result.output, b"HELLO");
     assert!((result.latency.as_secs_f64() - 0.12).abs() < 1e-9);
     // Metrics landed in the datastore under both key families.
     assert_eq!(ds.range("/metrics/invocations/shout/").len(), 1);
@@ -83,19 +80,16 @@ fn cas_transaction_serialises_competing_schedulers() {
         ds.txn(
             &[Compare::ValueEquals(
                 "/gpu/3/claim".into(),
-                Bytes::from_static(b"free"),
+                b"free".to_vec(),
             )],
-            &[Op::Put("/gpu/3/claim".into(), Bytes::from(who.to_string()))],
+            &[Op::Put("/gpu/3/claim".into(), who.into())],
             &[],
         )
         .succeeded
     };
     assert!(claim("sched-a"));
     assert!(!claim("sched-b"));
-    assert_eq!(
-        ds.get("/gpu/3/claim").unwrap().value,
-        Bytes::from_static(b"sched-a")
-    );
+    assert_eq!(ds.get("/gpu/3/claim").unwrap().value, b"sched-a");
 }
 
 #[test]
