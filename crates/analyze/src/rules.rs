@@ -70,10 +70,6 @@ impl FileCtx<'_> {
     fn in_deterministic_crate(&self) -> bool {
         DETERMINISTIC_CRATES.contains(&self.krate)
     }
-
-    fn file_name(&self) -> &str {
-        self.rel.rsplit('/').next().unwrap_or(self.rel)
-    }
 }
 
 /// One lint rule: a conservative token-pattern check with an id, a
@@ -300,16 +296,28 @@ fn check_float_ord(f: &FileCtx<'_>) -> Vec<Finding> {
 /// journal images (`global_queue`, the per-unit `local_queue` /
 /// `in_flight` / `holding`, `local_aggs`, the `units` vector itself)
 /// may only be written through the snapshot write API — the `Cluster` /
-/// `SchedCtx` methods in `cluster.rs` and `GpuUnit`'s own impl in
-/// `gpu_manager.rs` — which keep the aggregate indices and the journal's
-/// capture points in sync. A write anywhere else in `gfaas-core`
+/// `SchedCtx` methods in `crates/core/src/cluster.rs` and its child
+/// modules `crates/core/src/cluster/*.rs`, and `GpuUnit`'s own impl in
+/// `crates/core/src/gpu_manager.rs` — which keep the aggregate indices
+/// and the journal's capture points in sync. The exemption is by path: a
+/// file elsewhere that happens to share one of those names is checked. A write anywhere else in `gfaas-core`
 /// (a scheduler reaching through `ctx`, a new subsystem poking a queue)
 /// mutates state the journal believes it owns: rollback still restores
 /// bytes, but the bookkeeping the write skipped (aggregates, queue-depth
 /// notes) silently diverges. Flags field accesses followed by a mutating
 /// method, an assignment, or taken as `&mut` borrows.
 fn check_snap_mutate(f: &FileCtx<'_>) -> Vec<Finding> {
-    if f.krate != "core" || matches!(f.file_name(), "cluster.rs" | "gpu_manager.rs") {
+    let cluster_child = f
+        .rel
+        .strip_prefix("crates/core/src/cluster/")
+        .is_some_and(|name| name.ends_with(".rs") && !name.contains('/'));
+    if f.krate != "core"
+        || cluster_child
+        || matches!(
+            f.rel,
+            "crates/core/src/cluster.rs" | "crates/core/src/gpu_manager.rs"
+        )
+    {
         return Vec::new();
     }
     const FIELDS: &[&str] = &[
@@ -569,16 +577,26 @@ fn f(&mut self) {
         // Reads, comparisons, and lookalike locals stay silent.
         let reads = "let n = u.local_queue.len();\nif u.in_flight == None {}\nlet local_queue = VecDeque::new();\nlocal_queue.push_back(r);";
         assert!(run("snap-mutate", "crates/core/src/scheduler.rs", "core", reads).is_empty());
-        // The write API itself and other crates are out of scope.
-        assert!(run("snap-mutate", "crates/core/src/cluster.rs", "core", push).is_empty());
-        assert!(run(
-            "snap-mutate",
+        // The write API itself — the cluster module, its child modules
+        // and the GPU manager, by path — and other crates are out of
+        // scope.
+        for api in [
+            "crates/core/src/cluster.rs",
+            "crates/core/src/cluster/state.rs",
             "crates/core/src/gpu_manager.rs",
-            "core",
-            push
-        )
-        .is_empty());
+        ] {
+            assert!(run("snap-mutate", api, "core", push).is_empty(), "{api}");
+        }
         assert!(run("snap-mutate", "crates/store/src/lib.rs", "store", push).is_empty());
+        // A file that only shares a name with the write API is checked,
+        // and so is anything nested below the cluster's child modules.
+        for stray in [
+            "crates/core/src/policy/cluster.rs",
+            "crates/core/src/sched/gpu_manager.rs",
+            "crates/core/src/cluster/state/extra.rs",
+        ] {
+            assert_eq!(run("snap-mutate", stray, "core", push), [1], "{stray}");
+        }
     }
 
     #[test]

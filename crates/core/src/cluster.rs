@@ -40,11 +40,8 @@ use gfaas_obs::perfetto::{PerfettoHandle, PerfettoRecorder};
 use gfaas_obs::sampler::{SamplerRecorder, SeriesHandle, TimeSeries};
 use gfaas_obs::{Arm, GpuSample, MultiRecorder, ObsEvent, Recorder, SampleView, SelfProfile};
 use gfaas_sim::event::EventQueue;
-use gfaas_sim::rng::DetRng;
 use gfaas_sim::time::{SimDuration, SimTime};
-use gfaas_snap::{
-    fnv1a, read_header, write_header, Dec, Enc, Fnv1a, Journal, JournalStats, SnapError, SnapId,
-};
+use gfaas_snap::Journal;
 use gfaas_store::{ModelStore, StoreStats};
 use gfaas_trace::Trace;
 
@@ -54,12 +51,15 @@ use crate::cache::{CacheManager, Evictor};
 use crate::config::{BusyWaitPolicy, ClusterConfig, ConfigError};
 use crate::gpu_manager::{GpuUnit, HoldSlot, InFlight, Phase, UnitState};
 use crate::idle_index::IdleIndex;
-use crate::metrics::{MetricsCollector, MetricsImage, RunMetrics};
+use crate::metrics::{MetricsCollector, RunMetrics};
 use crate::policy::{PolicyRegistry, PolicySpec};
 use crate::request::Request;
 use crate::scheduler::{Dispatch, LalbScheduler, SchedulerPolicy, DEFAULT_O3_LIMIT};
 #[cfg(feature = "simcheck")]
 use crate::simcheck::SimChecker;
+
+mod state;
+use state::{ClusterImage, SimState};
 
 /// Discrete events driving the cluster.
 ///
@@ -93,7 +93,8 @@ pub(crate) enum Event {
 pub struct Cluster {
     config: ClusterConfig,
     registry: ModelRegistry,
-    units: Vec<GpuUnit>,
+    /// Every journaled plain-data field, declared once.
+    st: SimState,
     cache: CacheManager,
     /// The active scheduling policy. Taken out during a pass so the
     /// policy can borrow the cluster through [`SchedCtx`].
@@ -109,25 +110,9 @@ pub struct Cluster {
     /// scheduling decision) gates on one predictable branch and the flat
     /// default stays byte-identical to a build without the store hooks.
     store_flat: bool,
-    global_queue: VecDeque<Request>,
     metrics: MetricsCollector,
-    now: SimTime,
-    last_completion: SimTime,
-    hot_model: Option<ModelId>,
-    local_moves: u64,
-    crashes: u64,
-    dispatch_seq: u64,
-    rng: gfaas_sim::rng::DetRng,
     /// Elastic capacity policy; `None` is the paper's fixed testbed.
     autoscaler: Option<Box<dyn Autoscaler>>,
-    /// GPUs brought online / drained offline over the run.
-    scale_ups: u64,
-    scale_downs: u64,
-    /// Low/high watermarks of the online (dispatchable) fleet size.
-    online_low: usize,
-    online_high: usize,
-    /// Requests in the running trace; ticks stop once all have completed.
-    pending_total: u64,
     /// Recycled invocation vectors: every dispatch carries its requests in
     /// a `Vec` (through [`InFlight`]/[`HoldSlot`]), and completed
     /// invocations return theirs here instead of freeing, so the steady
@@ -137,20 +122,13 @@ pub struct Cluster {
     /// maintained at every dispatch, completion, crash, and scale
     /// transition (see [`IdleIndex`]). A round copies its candidates from
     /// here instead of scanning and sorting the fleet; together with the
-    /// two counters below, its size lets a pass on a saturated cluster
-    /// prove itself a no-op in O(1) — and every arrival triggers a pass.
-    /// Derived from `units`: built with them, rebuilt on rollback and
-    /// restore, never journaled.
+    /// holding/draining counters, its size lets a pass on a saturated
+    /// cluster prove itself a no-op in O(1) — and every arrival triggers
+    /// a pass. Derived from the units: built with them, rebuilt on
+    /// rollback and restore, never journaled.
     idle: IdleIndex,
-    /// Units with a forming batch parked in their hold slot.
-    holding_units: usize,
-    /// Units in the [`UnitState::Draining`] state.
-    draining_units: usize,
-    /// Integrated GPU busy time (uploads + inference, including crashed
-    /// work) — `RunMetrics::gpu_busy_seconds`.
-    busy_secs: f64,
     /// Per-unit incremental summary of the local queue (parallel to
-    /// `units`), maintained at every push/pop/remove so finish-time
+    /// the units), maintained at every push/pop/remove so finish-time
     /// estimates need not walk the queue. See [`LocalAgg`].
     local_aggs: Vec<LocalAgg>,
     /// Recycled buffer for the per-pass idle-GPU candidate list.
@@ -161,14 +139,6 @@ pub struct Cluster {
     /// scheduled, so the event stream and metrics are byte-identical to a
     /// build without the hooks.
     recorder: Option<Box<dyn Recorder>>,
-    /// Runtime invariant sanitizer (see [`crate::simcheck`]): observes
-    /// arrivals, popped events, and queue-depth updates, asserting
-    /// conservation invariants as the run progresses. Absent — not just
-    /// inert — without the `simcheck` feature, and it never mutates sim
-    /// state, so metrics are byte-identical either way (CI diffs the two
-    /// builds on a smoke run).
-    #[cfg(feature = "simcheck")]
-    simcheck: SimChecker,
     /// Handle to the lifecycle ledger, when `config.record.ledger` is set.
     obs_ledger: Option<LedgerHandle>,
     /// Handle to the Perfetto trace builder, when `config.record.perfetto`
@@ -189,17 +159,6 @@ pub struct Cluster {
     estimator_calls: Cell<u64>,
     /// Recycled per-GPU sample buffer for [`ObsEvent::Sample`].
     obs_scratch: Vec<GpuSample>,
-    /// The pending runtime-event heap. Owned by the cluster (not the
-    /// run loop) so a run can pause at a virtual-time bound
-    /// ([`Cluster::run_until`]), be checkpointed, and resume; the drive
-    /// loop `mem::take`s it while running.
-    events: EventQueue<Event>,
-    /// Cursor into the trace: the next arrival to admit. Part of the
-    /// journaled/checkpointed state — rolling back re-delivers arrivals.
-    next_arrival: usize,
-    /// Whether [`Cluster::begin_run`] already performed its one-time
-    /// setup (tick scheduling, RunStart emission, counters).
-    run_started: bool,
     /// Undo-log of pinned state images (see [`gfaas_snap`]). Empty —
     /// and therefore zero-cost — unless [`Cluster::snapshot`] or the
     /// lookahead scheduler's what-if forks are in use.
@@ -349,37 +308,42 @@ impl Cluster {
         Ok(Cluster {
             config,
             registry,
-            units,
+            st: SimState {
+                units,
+                global_queue: VecDeque::new(),
+                now: SimTime::ZERO,
+                last_completion: SimTime::ZERO,
+                hot_model: None,
+                local_moves: 0,
+                crashes: 0,
+                dispatch_seq: 0,
+                rng,
+                scale_ups: 0,
+                scale_downs: 0,
+                online_low: initial_online,
+                online_high: initial_online,
+                pending_total: 0,
+                holding_units: 0,
+                draining_units: 0,
+                busy_secs: 0.0,
+                events: EventQueue::new(),
+                next_arrival: 0,
+                run_started: false,
+                #[cfg(feature = "simcheck")]
+                simcheck: SimChecker::new(),
+            },
             cache,
             sched: Some(sched),
             batcher,
             store,
             store_flat,
-            global_queue: VecDeque::new(),
             metrics: MetricsCollector::new(),
-            now: SimTime::ZERO,
-            last_completion: SimTime::ZERO,
-            hot_model: None,
-            local_moves: 0,
-            crashes: 0,
-            dispatch_seq: 0,
-            rng,
             autoscaler,
-            scale_ups: 0,
-            scale_downs: 0,
-            online_low: initial_online,
-            online_high: initial_online,
-            pending_total: 0,
             batch_pool: Vec::new(),
             idle,
-            holding_units: 0,
-            draining_units: 0,
-            busy_secs: 0.0,
             local_aggs: vec![LocalAgg::default(); total_units],
             idle_scratch: Vec::new(),
             recorder,
-            #[cfg(feature = "simcheck")]
-            simcheck: SimChecker::new(),
             obs_ledger,
             obs_perfetto,
             obs_series,
@@ -388,9 +352,6 @@ impl Cluster {
             profile: SelfProfile::default(),
             estimator_calls: Cell::new(0),
             obs_scratch: Vec::new(),
-            events: EventQueue::new(),
-            next_arrival: 0,
-            run_started: false,
             journal: Journal::new(),
         })
     }
@@ -441,14 +402,14 @@ impl Cluster {
     #[inline]
     fn emit(&mut self, ev: ObsEvent<'_>) {
         if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(self.now, &ev);
+            r.record(self.st.now, &ev);
         }
     }
 
     /// Overrides which model Fig 6's duplicates metric tracks (defaults to
     /// the trace's most-invoked model).
     pub fn set_hot_model(&mut self, model: ModelId) {
-        self.hot_model = Some(model);
+        self.st.hot_model = Some(model);
     }
 
     /// The configuration.
@@ -473,7 +434,7 @@ impl Cluster {
 
     /// Requests moved to busy GPUs' local queues over the run.
     pub fn local_moves(&self) -> u64 {
-        self.local_moves
+        self.st.local_moves
     }
 
     /// Total evictions performed.
@@ -483,7 +444,7 @@ impl Cluster {
 
     /// Injected GPU-process crashes observed during the run.
     pub fn crashes(&self) -> u64 {
-        self.crashes
+        self.st.crashes
     }
 
     /// Replaces the autoscaler with a custom [`Autoscaler`] impl — the
@@ -505,7 +466,8 @@ impl Cluster {
     /// GPUs currently online (dispatchable); draining and offline GPUs
     /// are not counted.
     pub fn online_gpus(&self) -> usize {
-        self.units
+        self.st
+            .units
             .iter()
             .filter(|u| u.state == UnitState::Online)
             .count()
@@ -514,17 +476,17 @@ impl Cluster {
     /// Low/high watermarks of the online fleet size over the run — the
     /// observable the min/max autoscale bounds are asserted against.
     pub fn online_bounds(&self) -> (usize, usize) {
-        (self.online_low, self.online_high)
+        (self.st.online_low, self.st.online_high)
     }
 
     /// GPUs brought online by the autoscaler over the run.
     pub fn scale_ups(&self) -> u64 {
-        self.scale_ups
+        self.st.scale_ups
     }
 
     /// GPUs drained offline by the autoscaler over the run.
     pub fn scale_downs(&self) -> u64 {
-        self.scale_downs
+        self.st.scale_downs
     }
 
     /// Per-GPU inference time: the registry profile scaled by this GPU
@@ -532,7 +494,7 @@ impl Cluster {
     fn infer_time_on(&self, gi: usize, model: ModelId, batch: usize) -> SimDuration {
         self.registry
             .infer_time(model, batch)
-            .mul_f64(self.units[gi].device.spec().compute_scale)
+            .mul_f64(self.st.units[gi].device.spec().compute_scale)
     }
 
     /// Per-GPU model load time, scaled likewise — the estimator view of
@@ -541,7 +503,7 @@ impl Cluster {
     /// scale; a tiered store reprices it by where the bytes live now
     /// (host cache, an in-flight fetch, or origin).
     fn load_time_on(&self, gi: usize, model: ModelId) -> SimDuration {
-        self.load_cost_scaled(model, self.units[gi].device.spec().load_scale)
+        self.load_cost_scaled(model, self.st.units[gi].device.spec().load_scale)
     }
 
     /// The store-priced load cost for `model` given a device's PCIe
@@ -552,8 +514,12 @@ impl Cluster {
         if self.store_flat {
             flat
         } else {
-            self.store
-                .load_cost(self.now, model, self.registry.occupancy_bytes(model), flat)
+            self.store.load_cost(
+                self.st.now,
+                model,
+                self.registry.occupancy_bytes(model),
+                flat,
+            )
         }
     }
 
@@ -600,18 +566,18 @@ impl Cluster {
     /// the aggregate and the idle index's backlog list in step.
     fn push_local(&mut self, gi: usize, r: Request) {
         self.agg_push(gi, &r);
-        self.units[gi].local_queue.push_back(r);
-        self.local_moves += 1;
-        self.idle.note_backlog(&self.units[gi]);
+        self.st.units[gi].local_queue.push_back(r);
+        self.st.local_moves += 1;
+        self.idle.note_backlog(&self.st.units[gi]);
     }
 
     /// Recomputes `gi`'s aggregate from its queue — the rare-path reset
     /// after a crash rebuilds the local queue wholesale.
     fn agg_rebuild(&mut self, gi: usize) {
         self.local_aggs[gi] = LocalAgg::default();
-        let n = self.units[gi].local_queue.len();
+        let n = self.st.units[gi].local_queue.len();
         for i in 0..n {
-            let r = self.units[gi].local_queue[i];
+            let r = self.st.units[gi].local_queue[i];
             self.agg_push(gi, &r);
         }
     }
@@ -624,11 +590,11 @@ impl Cluster {
     fn estimated_wait_fast(&self, gi: usize) -> SimDuration {
         self.estimator_calls.set(self.estimator_calls.get() + 1);
         let coalesced = !self.batcher.is_passthrough();
-        let unit = &self.units[gi];
+        let unit = &self.st.units[gi];
         let mut wait = unit
             .device
             .busy_until()
-            .map(|t| t.duration_since(self.now))
+            .map(|t| t.duration_since(self.st.now))
             .unwrap_or(SimDuration::ZERO);
         if let Some(f) = &unit.in_flight {
             if f.phase == Phase::Loading {
@@ -636,7 +602,7 @@ impl Cluster {
             }
         }
         if let Some(h) = &unit.holding {
-            wait += h.release_at.duration_since(self.now.min(h.release_at));
+            wait += h.release_at.duration_since(self.st.now.min(h.release_at));
             if !unit.device.has_model(h.model()) {
                 wait += self.load_time_on(gi, h.model());
             }
@@ -664,7 +630,7 @@ impl Cluster {
             let (compute_scale, load_scale) = (spec.compute_scale, spec.load_scale);
             let registry = &self.registry;
             let naive = unit.estimated_wait(
-                self.now,
+                self.st.now,
                 coalesced,
                 |m, b| registry.infer_time(m, b).mul_f64(compute_scale),
                 |m| self.load_cost_scaled(m, load_scale),
@@ -682,10 +648,10 @@ impl Cluster {
     /// estimate may stop before the local queue, so under batching only
     /// the in-flight remainder is certain.
     fn wait_floor(&self, gi: usize, whole_queue: bool) -> SimDuration {
-        let busy = self.units[gi]
+        let busy = self.st.units[gi]
             .device
             .busy_until()
-            .map_or(SimDuration::ZERO, |t| t.duration_since(self.now));
+            .map_or(SimDuration::ZERO, |t| t.duration_since(self.st.now));
         if whole_queue {
             busy + self.local_aggs[gi].infer_sum
         } else {
@@ -697,7 +663,8 @@ impl Cluster {
     /// or in local queues).
     fn tenant_load(&self, tenant: u16) -> usize {
         let of = |rs: &[Request]| rs.iter().filter(|r| r.tenant == tenant).count();
-        self.units
+        self.st
+            .units
             .iter()
             .map(|u| {
                 let inflight = u.in_flight.as_ref().map_or(0, |f| of(&f.requests));
@@ -721,7 +688,7 @@ impl Cluster {
     fn note_queue_depth(&mut self, t: SimTime, len: usize) {
         self.metrics.observe_queue_depth(t, len);
         #[cfg(feature = "simcheck")]
-        self.simcheck.observe_queue_depth(t, len);
+        self.st.simcheck.observe_queue_depth(t, len);
     }
 
     /// Fleet audit under `simcheck`: request conservation plus
@@ -729,10 +696,10 @@ impl Cluster {
     #[cfg(feature = "simcheck")]
     fn audit_invariants(&mut self) {
         let completed = self.metrics.completed();
-        self.simcheck.audit(
+        self.st.simcheck.audit(
             completed,
-            self.global_queue.len(),
-            &self.units,
+            self.st.global_queue.len(),
+            &self.st.units,
             &self.registry,
             self.store.as_ref(),
         );
@@ -769,40 +736,42 @@ impl Cluster {
     /// Guarded by `run_started` so `run`/`run_until`/`resume` compose and
     /// a restored checkpoint does not redo it.
     fn begin_run(&mut self, trace: &Trace) {
-        if self.run_started {
+        if self.st.run_started {
             return;
         }
-        self.run_started = true;
-        if self.hot_model.is_none() {
-            self.hot_model = trace.hottest_model().map(ModelId);
+        self.st.run_started = true;
+        if self.st.hot_model.is_none() {
+            self.st.hot_model = trace.hottest_model().map(ModelId);
         }
         self.metrics.record_hot_replicas(SimTime::ZERO, 0);
         self.note_queue_depth(SimTime::ZERO, 0);
-        self.pending_total = trace.len() as u64;
+        self.st.pending_total = trace.len() as u64;
         // Arrivals stream from the trace cursor instead of being
         // pre-scheduled, so the heap holds only runtime events (a handful
         // per GPU) rather than the whole trace.
-        self.events = EventQueue::with_capacity(self.units.len() * 2 + 8);
-        self.next_arrival = 0;
+        self.st.events = EventQueue::with_capacity(self.st.units.len() * 2 + 8);
+        self.st.next_arrival = 0;
         if let Some(autoscaler) = &self.autoscaler {
-            self.events
+            self.st
+                .events
                 .schedule(SimTime::ZERO + autoscaler.cadence(), Event::ScaleTick);
         }
         if self.recorder.is_some() {
             let online = self.online_gpus();
-            let total = self.units.len();
+            let total = self.st.units.len();
             self.emit(ObsEvent::RunStart {
                 online_gpus: online,
                 total_gpus: total,
             });
-            for gi in 0..self.units.len() {
-                if matches!(self.units[gi].state, UnitState::Online) {
-                    let g = self.units[gi].id();
+            for gi in 0..self.st.units.len() {
+                if matches!(self.st.units[gi].state, UnitState::Online) {
+                    let g = self.st.units[gi].id();
                     self.emit(ObsEvent::UnitIdle { gpu: g });
                 }
             }
             if let Some(cadence) = self.obs_cadence {
-                self.events
+                self.st
+                    .events
                     .schedule(SimTime::ZERO + cadence, Event::ObsTick);
             }
         }
@@ -816,11 +785,11 @@ impl Cluster {
     /// numbers (0..N-1, assigned before any runtime event) sorted below
     /// everything else.
     fn drive(&mut self, trace: &Trace, until: Option<SimTime>) {
-        let mut events = std::mem::take(&mut self.events);
+        let mut events = std::mem::take(&mut self.st.events);
         let arrivals = trace.requests();
         let num_tenants = self.config.num_tenants.max(1) as u32;
         loop {
-            let arrival_at = arrivals.get(self.next_arrival).map(|r| r.at);
+            let arrival_at = arrivals.get(self.st.next_arrival).map(|r| r.at);
             let take_arrival = match (arrival_at, events.peek_time()) {
                 (Some(a), Some(h)) => a <= h,
                 (Some(_), None) => true,
@@ -838,26 +807,26 @@ impl Cluster {
                 }
             }
             if take_arrival {
-                let r = &arrivals[self.next_arrival];
-                debug_assert!(r.at >= self.now, "trace not sorted by arrival");
-                self.now = r.at;
+                let r = &arrivals[self.st.next_arrival];
+                debug_assert!(r.at >= self.st.now, "trace not sorted by arrival");
+                self.st.now = r.at;
                 let request = Request::new(
-                    self.next_arrival as u64,
+                    self.st.next_arrival as u64,
                     r.function,
                     ModelId(r.model),
                     self.config.batch_size,
                     r.at,
                 )
                 .with_tenant((r.function % num_tenants) as u16);
-                self.next_arrival += 1;
+                self.st.next_arrival += 1;
                 self.profile.arrivals += 1;
                 #[cfg(feature = "simcheck")]
-                self.simcheck.on_arrival(self.now);
+                self.st.simcheck.on_arrival(self.st.now);
                 let req_id = request.id;
                 let req_model = request.model;
-                self.global_queue.push_back(request);
-                let qlen = self.global_queue.len();
-                self.note_queue_depth(self.now, qlen);
+                self.st.global_queue.push_back(request);
+                let qlen = self.st.global_queue.len();
+                self.note_queue_depth(self.st.now, qlen);
                 if self.recorder.is_some() {
                     self.emit(ObsEvent::Arrival {
                         req: req_id,
@@ -869,23 +838,23 @@ impl Cluster {
                 // may start an async prefetch on its origin link here.
                 if !self.store_flat {
                     let bytes = self.registry.occupancy_bytes(req_model);
-                    self.store.note_arrival(self.now, req_model, bytes);
+                    self.store.note_arrival(self.st.now, req_model, bytes);
                 }
                 self.schedule_pass(&mut events);
             } else {
                 let (t, ev) = events.pop().expect("peeked event exists");
-                debug_assert!(t >= self.now, "event delivered out of order");
+                debug_assert!(t >= self.st.now, "event delivered out of order");
                 self.profile.events_popped += 1;
                 self.profile.heap_peak = self.profile.heap_peak.max(events.len() + 1);
-                self.now = t;
+                self.st.now = t;
                 #[cfg(feature = "simcheck")]
-                if self.simcheck.on_event(t) {
+                if self.st.simcheck.on_event(t) {
                     self.audit_invariants();
                 }
                 self.handle_event(ev, &mut events);
             }
         }
-        self.events = events;
+        self.st.events = events;
     }
 
     /// Dispatches one popped runtime event to its handler. Shared by the
@@ -907,10 +876,14 @@ impl Cluster {
     /// the ledger cross-check. Only meaningful once both occurrence
     /// streams are exhausted.
     fn finish_run(&mut self) -> RunMetrics {
-        debug_assert!(self.events.is_empty(), "runtime events left pending");
-        debug_assert!(self.global_queue.is_empty(), "requests left undispatched");
+        debug_assert!(self.st.events.is_empty(), "runtime events left pending");
         debug_assert!(
-            self.units
+            self.st.global_queue.is_empty(),
+            "requests left undispatched"
+        );
+        debug_assert!(
+            self.st
+                .units
                 .iter()
                 .all(|u| u.is_idle() && u.local_queue.is_empty()),
             "GPUs left busy after the event queue drained"
@@ -919,16 +892,17 @@ impl Cluster {
         if self.recorder.is_some() {
             // Flush the final partial sampling window, then let sinks
             // close any open trace slices at the loop's last timestamp
-            // (`self.now`, which is >= every emitted event's time).
+            // (`self.st.now`, which is >= every emitted event's time).
             self.emit_sample();
-            let now = self.now;
+            let now = self.st.now;
             if let Some(r) = self.recorder.as_deref_mut() {
                 r.finish(now);
             }
         }
 
-        let end = self.last_completion;
+        let end = self.st.last_completion;
         let gpu_seconds: f64 = self
+            .st
             .units
             .iter()
             .map(|u| u.provisioned_until(end).as_secs_f64())
@@ -939,7 +913,8 @@ impl Cluster {
         // the whole makespan would understate real utilisation.
         let sm: f64 = if self.autoscaler.is_some() {
             if gpu_seconds > 0.0 {
-                self.units
+                self.st
+                    .units
                     .iter()
                     .map(|u| u.device.sm_utilization(SimTime::ZERO, end) * end.as_secs_f64())
                     .sum::<f64>()
@@ -948,11 +923,12 @@ impl Cluster {
                 0.0
             }
         } else {
-            self.units
+            self.st
+                .units
                 .iter()
                 .map(|u| u.device.sm_utilization(SimTime::ZERO, end))
                 .sum::<f64>()
-                / self.units.len().max(1) as f64
+                / self.st.units.len().max(1) as f64
         };
         // The histogram's tick sum must be read before `finish` consumes
         // the collector; the ledger cross-check compares against it.
@@ -960,15 +936,15 @@ impl Cluster {
         let latency_ticks = self.metrics.latency_tick_sum();
         let mut metrics = std::mem::take(&mut self.metrics).finish(end, sm);
         metrics.gpu_seconds_provisioned = gpu_seconds;
-        metrics.scale_up_events = self.scale_ups;
-        metrics.scale_down_events = self.scale_downs;
-        metrics.gpu_busy_seconds = self.busy_secs;
+        metrics.scale_up_events = self.st.scale_ups;
+        metrics.scale_down_events = self.st.scale_downs;
+        metrics.gpu_busy_seconds = self.st.busy_secs;
         #[cfg(feature = "simcheck")]
         {
-            self.simcheck.finish(
+            self.st.simcheck.finish(
                 end,
                 &metrics,
-                &self.units,
+                &self.st.units,
                 &self.registry,
                 self.store.as_ref(),
             );
@@ -976,7 +952,8 @@ impl Cluster {
             // the observability ledger and the metrics pipeline — must
             // agree to the tick.
             if let Some(ledger) = self.ledger() {
-                self.simcheck
+                self.st
+                    .simcheck
                     .check_ledger(&ledger, metrics.completed, latency_ticks);
             }
         }
@@ -992,8 +969,8 @@ impl Cluster {
     fn on_obs_tick(&mut self, events: &mut EventQueue<Event>) {
         self.emit_sample();
         if let Some(cadence) = self.obs_cadence {
-            if self.metrics.completed() < self.pending_total {
-                events.schedule(self.now + cadence, Event::ObsTick);
+            if self.metrics.completed() < self.st.pending_total {
+                events.schedule(self.st.now + cadence, Event::ObsTick);
             }
         }
     }
@@ -1005,7 +982,7 @@ impl Cluster {
         gpus.clear();
         let mut busy = 0usize;
         let mut online = 0usize;
-        for u in &self.units {
+        for u in &self.st.units {
             let is_online = matches!(u.state, UnitState::Online);
             let is_draining = matches!(u.state, UnitState::Draining);
             if matches!(u.state, UnitState::Offline) {
@@ -1028,15 +1005,15 @@ impl Cluster {
             });
         }
         let view = SampleView {
-            queue_len: self.global_queue.len(),
+            queue_len: self.st.global_queue.len(),
             online,
             busy,
-            draining: self.draining_units,
-            holding: self.holding_units,
+            draining: self.st.draining_units,
+            holding: self.st.holding_units,
             gpus: &gpus,
         };
         if let Some(r) = self.recorder.as_deref_mut() {
-            r.record(self.now, &ObsEvent::Sample { view });
+            r.record(self.st.now, &ObsEvent::Sample { view });
         }
         gpus.clear();
         self.obs_scratch = gpus;
@@ -1044,7 +1021,7 @@ impl Cluster {
 
     fn on_gpu_done(&mut self, g: GpuId, seq: u64, events: &mut EventQueue<Event>) {
         let gi = g.0 as usize;
-        let phase = match &self.units[gi].in_flight {
+        let phase = match &self.st.units[gi].in_flight {
             // A missing or mismatched token means the work crashed in the
             // meantime: the completion is stale and ignored.
             Some(f) if f.seq == seq => f.phase,
@@ -1053,12 +1030,15 @@ impl Cluster {
         match phase {
             Phase::Loading => {
                 let (model, tier) = {
-                    let f = self.units[gi].in_flight.as_ref().expect("work in flight");
+                    let f = self.st.units[gi]
+                        .in_flight
+                        .as_ref()
+                        .expect("work in flight");
                     (f.model(), f.tier)
                 };
-                self.units[gi]
+                self.st.units[gi]
                     .device
-                    .complete_load(self.now, model)
+                    .complete_load(self.st.now, model)
                     .expect("load completion mismatch");
                 // The upload was a natural batch-forming window: requests
                 // for this model that queued up during the load join the
@@ -1075,25 +1055,28 @@ impl Cluster {
                 }
                 // A coalesced invocation runs the whole batch's inputs in
                 // one pass of the affine latency model.
-                let items = self.units[gi]
+                let items = self.st.units[gi]
                     .in_flight
                     .as_ref()
                     .expect("work in flight")
                     .items();
                 let dur = self.infer_time_on(gi, model, items);
-                let done = self.units[gi]
+                let done = self.st.units[gi]
                     .device
-                    .start_inference(self.now, model, dur)
+                    .start_inference(self.st.now, model, dur)
                     .expect("post-load inference start");
-                if let Some(f) = self.units[gi].in_flight.as_mut() {
+                if let Some(f) = self.st.units[gi].in_flight.as_mut() {
                     // The upload interval just closed; `started` now marks
                     // the inference interval for busy-time accounting.
-                    self.busy_secs += self.now.duration_since(f.started).as_secs_f64();
-                    f.started = self.now;
+                    self.st.busy_secs += self.st.now.duration_since(f.started).as_secs_f64();
+                    f.started = self.st.now;
                     f.phase = Phase::Running;
                 }
                 if self.recorder.is_some() {
-                    let f = self.units[gi].in_flight.as_ref().expect("work in flight");
+                    let f = self.st.units[gi]
+                        .in_flight
+                        .as_ref()
+                        .expect("work in flight");
                     let (batch, requests, items) = (f.seq, f.requests.len(), f.items());
                     self.emit(ObsEvent::InferStart {
                         gpu: g,
@@ -1106,17 +1089,17 @@ impl Cluster {
                 self.schedule_inference_outcome(gi, done, dur, events);
             }
             Phase::Running => {
-                let inflight = self.units[gi].in_flight.take().expect("work in flight");
-                self.units[gi]
+                let inflight = self.st.units[gi].in_flight.take().expect("work in flight");
+                self.st.units[gi]
                     .device
-                    .complete_inference(self.now, inflight.model())
+                    .complete_inference(self.st.now, inflight.model())
                     .expect("inference completion mismatch");
-                self.busy_secs += self.now.duration_since(inflight.started).as_secs_f64();
+                self.st.busy_secs += self.st.now.duration_since(inflight.started).as_secs_f64();
                 // Per-request completion accounting: every coalesced
                 // request ends now, each against its own arrival.
                 let (b_model, b_seq) = (inflight.model(), inflight.seq);
                 for r in &inflight.requests {
-                    let latency = self.now.duration_since(r.arrival);
+                    let latency = self.st.now.duration_since(r.arrival);
                     self.metrics.record_completion(latency);
                     if self.recorder.is_some() {
                         self.emit(ObsEvent::Completion {
@@ -1146,18 +1129,18 @@ impl Cluster {
                         requests,
                     });
                 }
-                self.last_completion = self.last_completion.max(self.now);
+                self.st.last_completion = self.st.last_completion.max(self.st.now);
                 // Riding requests always served via residency (the lead's
                 // load or cache hit), so they count toward Algorithm 1's
                 // hit frequency; a lead miss does not.
                 let hit_served = inflight.requests.len() - usize::from(!inflight.was_hit);
-                self.units[gi].hits += hit_served as u64;
+                self.st.units[gi].hits += hit_served as u64;
                 let mut recycled = inflight.requests;
                 recycled.clear();
                 self.batch_pool.push(recycled);
-                self.units[gi].idle_since = self.now;
-                if self.units[gi].state == UnitState::Online {
-                    self.idle.insert(&self.units[gi]);
+                self.st.units[gi].idle_since = self.st.now;
+                if self.st.units[gi].state == UnitState::Online {
+                    self.idle.insert(&self.st.units[gi]);
                     if self.recorder.is_some() {
                         self.emit(ObsEvent::UnitIdle { gpu: g });
                     }
@@ -1178,14 +1161,14 @@ impl Cluster {
         dur: SimDuration,
         events: &mut EventQueue<Event>,
     ) {
-        let g = self.units[gi].id();
-        let seq = self.units[gi]
+        let g = self.st.units[gi].id();
+        let seq = self.st.units[gi]
             .in_flight
             .as_ref()
             .expect("work in flight")
             .seq;
-        if self.config.crash_rate > 0.0 && self.rng.chance(self.config.crash_rate) {
-            let frac = self.rng.range_f64(0.05, 0.95);
+        if self.config.crash_rate > 0.0 && self.st.rng.chance(self.config.crash_rate) {
+            let frac = self.st.rng.range_f64(0.05, 0.95);
             let crash_at = done - dur.mul_f64(1.0 - frac);
             events.schedule(crash_at, Event::GpuCrash(g, seq));
         }
@@ -1199,19 +1182,19 @@ impl Cluster {
     /// the crash).
     fn on_gpu_crash(&mut self, g: GpuId, seq: u64, events: &mut EventQueue<Event>) {
         let gi = g.0 as usize;
-        match &self.units[gi].in_flight {
+        match &self.st.units[gi].in_flight {
             Some(f) if f.seq == seq && matches!(f.phase, Phase::Running) => {}
             _ => return, // already completed or crashed
         }
-        let inflight = self.units[gi].in_flight.take().expect("work in flight");
+        let inflight = self.st.units[gi].in_flight.take().expect("work in flight");
         let model = inflight.model();
-        self.units[gi]
+        self.st.units[gi]
             .device
-            .force_kill(self.now, model)
+            .force_kill(self.st.now, model)
             .expect("crashing process exists");
         // The partial inference consumed real GPU time before dying (the
         // completed upload was already accounted at the phase switch).
-        self.busy_secs += self.now.duration_since(inflight.started).as_secs_f64();
+        self.st.busy_secs += self.st.now.duration_since(inflight.started).as_secs_f64();
         self.cache.remove(g, model);
         self.on_residency_change(model);
         if self.recorder.is_some() {
@@ -1222,40 +1205,40 @@ impl Cluster {
                 requeued,
             });
         }
-        self.units[gi].idle_since = self.now;
-        if self.units[gi].state == UnitState::Online && self.recorder.is_some() {
+        self.st.units[gi].idle_since = self.st.now;
+        if self.st.units[gi].state == UnitState::Online && self.recorder.is_some() {
             self.emit(ObsEvent::UnitIdle { gpu: g });
         }
-        self.crashes += 1;
+        self.st.crashes += 1;
         // Retry: the crashed invocation's requests (the whole coalesced
         // batch) rejoin the global queue at the front in order, followed
         // by any of this GPU's local-queue requests that were waiting on
         // the now-dead process (their residency expectation is void).
         let mut requeue = inflight.requests;
         let mut keep = VecDeque::new();
-        while let Some(r) = self.units[gi].local_queue.pop_front() {
+        while let Some(r) = self.st.units[gi].local_queue.pop_front() {
             if r.model == model {
                 requeue.push(r);
             } else {
                 keep.push_back(r);
             }
         }
-        self.units[gi].local_queue = keep;
+        self.st.units[gi].local_queue = keep;
         self.agg_rebuild(gi);
         // The unit enters the idle set only now: its surviving local
         // queue decides whether it also carries a backlog.
-        if self.units[gi].state == UnitState::Online {
-            self.idle.insert(&self.units[gi]);
+        if self.st.units[gi].state == UnitState::Online {
+            self.idle.insert(&self.st.units[gi]);
         }
         for r in requeue.into_iter().rev() {
             let id = r.id;
-            self.global_queue.push_front(r);
+            self.st.global_queue.push_front(r);
             if self.recorder.is_some() {
                 self.emit(ObsEvent::Requeued { req: id });
             }
         }
-        let qlen = self.global_queue.len();
-        self.note_queue_depth(self.now, qlen);
+        let qlen = self.st.global_queue.len();
+        self.note_queue_depth(self.st.now, qlen);
         if self.recorder.is_some() {
             self.emit(ObsEvent::QueueDepth { len: qlen });
         }
@@ -1273,7 +1256,7 @@ impl Cluster {
     fn on_scale_tick(&mut self, events: &mut EventQueue<Event>) {
         #[cfg(feature = "simcheck")]
         self.audit_invariants();
-        if self.metrics.completed() >= self.pending_total {
+        if self.metrics.completed() >= self.st.pending_total {
             return;
         }
         let mut autoscaler = self.autoscaler.take().expect("tick without autoscaler");
@@ -1285,7 +1268,7 @@ impl Cluster {
             ScaleDecision::Up(n) => self.scale_up(n, events),
             ScaleDecision::Down(n) => self.scale_down(n),
         }
-        events.schedule(self.now + cadence, Event::ScaleTick);
+        events.schedule(self.st.now + cadence, Event::ScaleTick);
     }
 
     /// Brings up to `want` offline devices online, cold (empty caches,
@@ -1293,14 +1276,14 @@ impl Cluster {
     /// work can flow onto them immediately.
     fn scale_up(&mut self, want: usize, events: &mut EventQueue<Event>) {
         let mut provisioned: Vec<GpuId> = Vec::new();
-        for unit in &mut self.units {
+        for unit in &mut self.st.units {
             if provisioned.len() == want {
                 break;
             }
             if unit.state == UnitState::Offline {
                 unit.state = UnitState::Online;
-                unit.online_since = self.now;
-                unit.idle_since = self.now;
+                unit.online_since = self.st.now;
+                unit.idle_since = self.st.now;
                 // A cold device has no cache; its old hit frequency (from
                 // a previous online interval) would skew Algorithm 1's
                 // idle ordering.
@@ -1313,13 +1296,13 @@ impl Cluster {
         if provisioned.is_empty() {
             return;
         }
-        self.scale_ups += provisioned.len() as u64;
-        self.online_high = self.online_high.max(self.online_gpus());
+        self.st.scale_ups += provisioned.len() as u64;
+        self.st.online_high = self.st.online_high.max(self.online_gpus());
         // Cold devices mean a burst of compulsory misses is coming: let a
         // tiered store stage its hottest absent models toward the host
         // cache before the cold-start storm hits the origin link.
         if !self.store_flat {
-            self.store.note_scale_up(self.now);
+            self.store.note_scale_up(self.st.now);
         }
         for g in provisioned {
             if self.recorder.is_some() {
@@ -1349,27 +1332,27 @@ impl Cluster {
         if allowed == 0 {
             return;
         }
-        let mut victims: Vec<usize> = (0..self.units.len())
-            .filter(|&gi| self.units[gi].state == UnitState::Online)
+        let mut victims: Vec<usize> = (0..self.st.units.len())
+            .filter(|&gi| self.st.units[gi].state == UnitState::Online)
             .collect();
         victims.sort_by_key(|&gi| {
-            let u = &self.units[gi];
+            let u = &self.st.units[gi];
             (!u.is_idle(), u.idle_since, gi)
         });
         for &gi in victims.iter().take(allowed) {
-            if self.units[gi].is_idle() {
-                self.idle.remove(&self.units[gi]);
+            if self.st.units[gi].is_idle() {
+                self.idle.remove(&self.st.units[gi]);
             }
-            self.units[gi].state = UnitState::Draining;
-            self.draining_units += 1;
-            self.scale_downs += 1;
+            self.st.units[gi].state = UnitState::Draining;
+            self.st.draining_units += 1;
+            self.st.scale_downs += 1;
             if self.recorder.is_some() {
-                let g = self.units[gi].id();
+                let g = self.st.units[gi].id();
                 self.emit(ObsEvent::DrainStart { gpu: g });
             }
             self.maybe_finish_drain(gi);
         }
-        self.online_low = self.online_low.min(self.online_gpus());
+        self.st.online_low = self.st.online_low.min(self.online_gpus());
     }
 
     /// Completes a drain if the unit has nothing left to run: evicts its
@@ -1377,7 +1360,7 @@ impl Cluster {
     /// future dispatches), closes its provisioned interval, and takes it
     /// offline.
     fn maybe_finish_drain(&mut self, gi: usize) {
-        let unit = &self.units[gi];
+        let unit = &self.st.units[gi];
         if unit.state != UnitState::Draining
             || unit.in_flight.is_some()
             || unit.holding.is_some()
@@ -1388,7 +1371,7 @@ impl Cluster {
         let g = unit.id();
         let residents: Vec<ModelId> = unit.device.resident_models().collect();
         for model in residents {
-            self.units[gi]
+            self.st.units[gi]
                 .device
                 .evict(model)
                 .expect("drained GPU's residents are ready processes");
@@ -1400,16 +1383,16 @@ impl Cluster {
             // process died with its memory.)
             if !self.store_flat {
                 let bytes = self.registry.occupancy_bytes(model);
-                self.store.demote(self.now, model, bytes);
+                self.store.demote(self.st.now, model, bytes);
             }
             if self.recorder.is_some() {
                 self.emit(ObsEvent::Eviction { gpu: g, model });
             }
         }
-        let unit = &mut self.units[gi];
-        unit.provisioned += self.now.duration_since(unit.online_since);
+        let unit = &mut self.st.units[gi];
+        unit.provisioned += self.st.now.duration_since(unit.online_since);
         unit.state = UnitState::Offline;
-        self.draining_units -= 1;
+        self.st.draining_units -= 1;
         if self.recorder.is_some() {
             self.emit(ObsEvent::Offline { gpu: g });
         }
@@ -1432,14 +1415,15 @@ impl Cluster {
             .map_or(0, |g| g.2);
         debug_assert_eq!(
             local,
-            self.units[gi]
+            self.st.units[gi]
                 .local_queue
                 .iter()
                 .filter(|r| r.model == model)
                 .count()
         );
-        let global = if self.units[gi].state == UnitState::Online {
-            self.global_queue
+        let global = if self.st.units[gi].state == UnitState::Online {
+            self.st
+                .global_queue
                 .iter()
                 .filter(|r| r.model == model && !self.tenant_blocked(r.tenant))
                 .count()
@@ -1465,11 +1449,11 @@ impl Cluster {
         cap: usize,
         out: &mut Vec<Request>,
     ) {
-        let g = self.units[gi].id();
+        let g = self.st.units[gi].id();
         let mut i = 0;
-        while out.len() < cap && i < self.units[gi].local_queue.len() {
-            if self.units[gi].local_queue[i].model == model {
-                let r = self.units[gi]
+        while out.len() < cap && i < self.st.units[gi].local_queue.len() {
+            if self.st.units[gi].local_queue[i].model == model {
+                let r = self.st.units[gi]
                     .local_queue
                     .remove(i)
                     .expect("index in bounds");
@@ -1483,14 +1467,14 @@ impl Cluster {
                 i += 1;
             }
         }
-        if self.units[gi].state != UnitState::Online {
+        if self.st.units[gi].state != UnitState::Online {
             return;
         }
-        let global_before = self.global_queue.len();
+        let global_before = self.st.global_queue.len();
         let mut i = 0;
-        while out.len() < cap && i < self.global_queue.len() {
+        while out.len() < cap && i < self.st.global_queue.len() {
             let (matches, tenant) = {
-                let r = &self.global_queue[i];
+                let r = &self.st.global_queue[i];
                 (r.model == model, r.tenant)
             };
             let blocked = matches
@@ -1499,7 +1483,7 @@ impl Cluster {
                     self.tenant_load(tenant) + forming >= tenant_cap
                 });
             if matches && !blocked {
-                let r = self.global_queue.remove(i).expect("index in bounds");
+                let r = self.st.global_queue.remove(i).expect("index in bounds");
                 if self.recorder.is_some() {
                     let id = r.id;
                     self.emit(ObsEvent::Join { req: id, gpu: g });
@@ -1509,9 +1493,9 @@ impl Cluster {
                 i += 1;
             }
         }
-        let qlen = self.global_queue.len();
+        let qlen = self.st.global_queue.len();
         if qlen != global_before {
-            self.note_queue_depth(self.now, qlen);
+            self.note_queue_depth(self.st.now, qlen);
             if self.recorder.is_some() {
                 self.emit(ObsEvent::QueueDepth { len: qlen });
             }
@@ -1528,12 +1512,12 @@ impl Cluster {
         lead_arrival: SimTime,
         available: usize,
     ) -> BatchView {
-        let spec = self.units[gi].device.spec();
+        let spec = self.st.units[gi].device.spec();
         let profile = self.registry.profile(model);
         BatchView {
             model,
             hit,
-            now: self.now,
+            now: self.st.now,
             lead_arrival,
             available,
             items_per_request: self.config.batch_size,
@@ -1557,12 +1541,12 @@ impl Cluster {
     ) {
         // Every dispatch path funnels through here on an idle unit, and
         // every branch below leaves it busy (in flight or holding).
-        debug_assert!(self.units[gi].is_idle(), "dispatch on a busy GPU");
-        if self.units[gi].state == UnitState::Online {
-            self.idle.remove(&self.units[gi]);
+        debug_assert!(self.st.units[gi].is_idle(), "dispatch on a busy GPU");
+        if self.st.units[gi].state == UnitState::Online {
+            self.idle.remove(&self.st.units[gi]);
         }
         if self.recorder.is_some() {
-            let (id, g) = (lead.id, self.units[gi].id());
+            let (id, g) = (lead.id, self.st.units[gi].id());
             self.emit(ObsEvent::Join { req: id, gpu: g });
         }
         let mut requests = self.batch_pool.pop().unwrap_or_default();
@@ -1582,10 +1566,10 @@ impl Cluster {
         // holding a lone request would trade its latency for nothing.
         if requests.len() >= 2 && requests.len() < cap {
             if let Some(hold) = plan.hold {
-                let g = self.units[gi].id();
-                let seq = self.dispatch_seq;
-                self.dispatch_seq += 1;
-                let release_at = self.now + hold;
+                let g = self.st.units[gi].id();
+                let seq = self.st.dispatch_seq;
+                self.st.dispatch_seq += 1;
+                let release_at = self.st.now + hold;
                 self.profile.holds_parked += 1;
                 if self.recorder.is_some() {
                     let gathered = requests.len();
@@ -1596,14 +1580,14 @@ impl Cluster {
                         release_at,
                     });
                 }
-                self.units[gi].holding = Some(HoldSlot {
+                self.st.units[gi].holding = Some(HoldSlot {
                     requests,
                     max_requests: cap,
                     hit,
                     release_at,
                     seq,
                 });
-                self.holding_units += 1;
+                self.st.holding_units += 1;
                 events.schedule(release_at, Event::BatchHold(g, seq));
                 return;
             }
@@ -1615,20 +1599,23 @@ impl Cluster {
     /// the hold began, launching early when it fills. Returns true iff
     /// the batch launched.
     fn fill_hold(&mut self, gi: usize, events: &mut EventQueue<Event>) -> bool {
-        let Some(slot) = &self.units[gi].holding else {
+        let Some(slot) = &self.st.units[gi].holding else {
             return false;
         };
         let (model, cap) = (slot.model(), slot.max_requests);
-        let mut slot = self.units[gi].holding.take().expect("slot checked above");
+        let mut slot = self.st.units[gi]
+            .holding
+            .take()
+            .expect("slot checked above");
         self.collect_same_model(gi, model, cap, &mut slot.requests);
         if slot.requests.len() >= cap {
             // Full: launch now; the pending BatchHold timer goes stale
             // (its token no longer matches a held slot).
-            self.holding_units -= 1;
+            self.st.holding_units -= 1;
             self.launch_batch(gi, slot.requests, slot.hit, events);
             true
         } else {
-            self.units[gi].holding = Some(slot);
+            self.st.units[gi].holding = Some(slot);
             false
         }
     }
@@ -1638,12 +1625,15 @@ impl Cluster {
     /// launched early.
     fn on_batch_hold(&mut self, g: GpuId, seq: u64, events: &mut EventQueue<Event>) {
         let gi = g.0 as usize;
-        match &self.units[gi].holding {
+        match &self.st.units[gi].holding {
             Some(h) if h.seq == seq => {}
             _ => return,
         }
-        let mut slot = self.units[gi].holding.take().expect("slot checked above");
-        self.holding_units -= 1;
+        let mut slot = self.st.units[gi]
+            .holding
+            .take()
+            .expect("slot checked above");
+        self.st.holding_units -= 1;
         self.collect_same_model(gi, slot.model(), slot.max_requests, &mut slot.requests);
         self.launch_batch(gi, slot.requests, slot.hit, events);
     }
@@ -1655,7 +1645,10 @@ impl Cluster {
     /// the inference launches immediately.
     fn topup_loaded_batch(&mut self, gi: usize) {
         let (model, lead_arrival, len) = {
-            let f = self.units[gi].in_flight.as_ref().expect("work in flight");
+            let f = self.st.units[gi]
+                .in_flight
+                .as_ref()
+                .expect("work in flight");
             (f.model(), f.lead().arrival, f.requests.len())
         };
         let available = self.coalescable(gi, model);
@@ -1668,11 +1661,14 @@ impl Cluster {
             return;
         }
         let mut requests = {
-            let f = self.units[gi].in_flight.as_mut().expect("work in flight");
+            let f = self.st.units[gi]
+                .in_flight
+                .as_mut()
+                .expect("work in flight");
             std::mem::take(&mut f.requests)
         };
         self.collect_same_model(gi, model, cap, &mut requests);
-        let g = self.units[gi].id();
+        let g = self.st.units[gi].id();
         for _ in len..requests.len() {
             // Joiners ride the completed upload: hit decisions and cache
             // accesses like any coalesced request.
@@ -1685,7 +1681,7 @@ impl Cluster {
                 self.emit(ObsEvent::LoadRiders { gpu: g, joined });
             }
         }
-        self.units[gi]
+        self.st.units[gi]
             .in_flight
             .as_mut()
             .expect("work in flight")
@@ -1721,12 +1717,12 @@ impl Cluster {
     fn audit_fleet_index(&self) {
         assert_eq!(
             self.idle,
-            IdleIndex::of(&self.units),
+            IdleIndex::of(&self.st.units),
             "idle index out of sync"
         );
         assert_eq!(
-            (self.holding_units, self.draining_units),
-            fleet_counts(&self.units),
+            (self.st.holding_units, self.st.draining_units),
+            fleet_counts(&self.st.units),
             "holding/draining counters out of sync"
         );
     }
@@ -1745,27 +1741,28 @@ impl Cluster {
             self.audit_fleet_index();
             // The saturated common case: nothing to top up, nothing to
             // drain, nowhere to dispatch — the pass is provably a no-op.
-            if self.idle.is_empty() && self.holding_units == 0 && self.draining_units == 0 {
+            if self.idle.is_empty() && self.st.holding_units == 0 && self.st.draining_units == 0 {
                 break;
             }
             let mut progress = false;
             // Held batches vacuum up matching new arrivals and launch
             // early once full (no-op under per-request dispatch).
-            if self.holding_units > 0 && !self.batcher.is_passthrough() {
-                for gi in 0..self.units.len() {
-                    if self.units[gi].holding.is_some() && self.fill_hold(gi, events) {
+            if self.st.holding_units > 0 && !self.batcher.is_passthrough() {
+                for gi in 0..self.st.units.len() {
+                    if self.st.units[gi].holding.is_some() && self.fill_hold(gi, events) {
                         progress = true;
                     }
                 }
             }
             // Drain victims run down their local queues (always resident
             // hits) but receive no new work.
-            if self.draining_units > 0 {
-                for gi in 0..self.units.len() {
-                    if self.units[gi].state == UnitState::Draining && self.units[gi].is_idle() {
-                        if let Some(r) = self.units[gi].local_queue.pop_front() {
+            if self.st.draining_units > 0 {
+                for gi in 0..self.st.units.len() {
+                    if self.st.units[gi].state == UnitState::Draining && self.st.units[gi].is_idle()
+                    {
+                        if let Some(r) = self.st.units[gi].local_queue.pop_front() {
                             debug_assert!(
-                                self.cache.is_cached(self.units[gi].id(), r.model),
+                                self.cache.is_cached(self.st.units[gi].id(), r.model),
                                 "local-queue request's model must be resident"
                             );
                             self.agg_remove(gi, &r);
@@ -1783,7 +1780,7 @@ impl Cluster {
             let mut idle = std::mem::take(&mut self.idle_scratch);
             idle.clear();
             self.idle
-                .candidates(!self.global_queue.is_empty(), &mut idle);
+                .candidates(!self.st.global_queue.is_empty(), &mut idle);
             if idle.is_empty() {
                 self.idle_scratch = idle;
                 if progress {
@@ -1801,15 +1798,15 @@ impl Cluster {
                 // With the global queue empty only a local backlog can
                 // still move, and every online idle GPU with one is in the
                 // index's backlog list: the rest of the round is a no-op.
-                if ctx.cluster.global_queue.is_empty() && !ctx.cluster.idle.has_backlog() {
+                if ctx.cluster.st.global_queue.is_empty() && !ctx.cluster.idle.has_backlog() {
                     break;
                 }
                 let gi = g.0 as usize;
-                if !ctx.cluster.units[gi].is_idle() {
+                if !ctx.cluster.st.units[gi].is_idle() {
                     continue; // became busy earlier in this iteration
                 }
                 // Algorithm 1 lines 2–5: the local queue has priority.
-                if let Some(r) = ctx.cluster.units[gi].local_queue.pop_front() {
+                if let Some(r) = ctx.cluster.st.units[gi].local_queue.pop_front() {
                     debug_assert!(
                         ctx.cluster.cache.is_cached(g, r.model),
                         "local-queue request's model must be resident"
@@ -1819,7 +1816,7 @@ impl Cluster {
                     ctx.progress = true;
                     continue;
                 }
-                if ctx.cluster.global_queue.is_empty() {
+                if ctx.cluster.st.global_queue.is_empty() {
                     continue;
                 }
                 let dispatch = sched.on_gpu_idle(g, &mut ctx);
@@ -1842,7 +1839,7 @@ impl Cluster {
     /// serving every request in `requests` (one, unless a batch policy
     /// coalesced more).
     fn execute_hit(&mut self, gi: usize, requests: Vec<Request>, events: &mut EventQueue<Event>) {
-        let g = self.units[gi].id();
+        let g = self.st.units[gi].id();
         let model = requests[0].model;
         debug_assert!(self.cache.is_cached(g, model), "hit without residency");
         debug_assert!(requests.iter().all(|r| r.model == model));
@@ -1855,12 +1852,12 @@ impl Cluster {
         }
         let items: usize = requests.iter().map(|r| r.batch).sum();
         let dur = self.infer_time_on(gi, model, items);
-        let done = self.units[gi]
+        let done = self.st.units[gi]
             .device
-            .start_inference(self.now, model, dur)
+            .start_inference(self.st.now, model, dur)
             .expect("hit dispatch on idle GPU");
-        let seq = self.dispatch_seq;
-        self.dispatch_seq += 1;
+        let seq = self.st.dispatch_seq;
+        self.st.dispatch_seq += 1;
         if self.recorder.is_some() {
             let (lead, coalesced) = (requests[0].id, requests.len());
             self.emit(ObsEvent::Dispatch {
@@ -1879,11 +1876,11 @@ impl Cluster {
                 items,
             });
         }
-        self.units[gi].in_flight = Some(InFlight {
+        self.st.units[gi].in_flight = Some(InFlight {
             requests,
             phase: Phase::Running,
             was_hit: true,
-            started: self.now,
+            started: self.st.now,
             seq,
             tier: Tier::HBM,
         });
@@ -1894,7 +1891,7 @@ impl Cluster {
     /// evicting victims as needed. The lead request pays the miss;
     /// coalesced requests ride the same upload and count as hits.
     fn execute_miss(&mut self, gi: usize, requests: Vec<Request>, events: &mut EventQueue<Event>) {
-        let g = self.units[gi].id();
+        let g = self.st.units[gi].id();
         let model = requests[0].model;
         debug_assert!(!self.cache.is_cached(g, model), "miss with residency");
         debug_assert!(requests.iter().all(|r| r.model == model));
@@ -1919,7 +1916,10 @@ impl Cluster {
         // The Cache Manager provisions against capacity minus its OOM
         // headroom (see `ClusterConfig::mem_headroom_mib`).
         let headroom = self.config.mem_headroom_mib * gfaas_gpu::MIB;
-        let free = self.units[gi].device.free_bytes().saturating_sub(headroom);
+        let free = self.st.units[gi]
+            .device
+            .free_bytes()
+            .saturating_sub(headroom);
         let registry = &self.registry;
         let victims = self
             .cache
@@ -1930,11 +1930,11 @@ impl Cluster {
                     model,
                     occupancy,
                     g,
-                    self.units[gi].device.spec().memory_bytes
+                    self.st.units[gi].device.spec().memory_bytes
                 )
             });
         for v in victims {
-            self.units[gi]
+            self.st.units[gi]
                 .device
                 .evict(v)
                 .expect("victims on an idle GPU are evictable");
@@ -1945,7 +1945,7 @@ impl Cluster {
             // host hit instead of an origin fetch.
             if !self.store_flat {
                 let bytes = self.registry.occupancy_bytes(v);
-                self.store.demote(self.now, v, bytes);
+                self.store.demote(self.st.now, v, bytes);
             }
             if self.recorder.is_some() {
                 self.emit(ObsEvent::Eviction { gpu: g, model: v });
@@ -1958,15 +1958,16 @@ impl Cluster {
         let flat_load = self
             .registry
             .load_time(model)
-            .mul_f64(self.units[gi].device.spec().load_scale);
+            .mul_f64(self.st.units[gi].device.spec().load_scale);
         let (tier, load_time) = if self.store_flat {
             (Tier::ORIGIN, flat_load)
         } else {
-            self.store.begin_load(self.now, model, occupancy, flat_load)
+            self.store
+                .begin_load(self.st.now, model, occupancy, flat_load)
         };
-        let (_pid, ready) = self.units[gi]
+        let (_pid, ready) = self.st.units[gi]
             .device
-            .start_load_timed(self.now, model, occupancy, load_time)
+            .start_load_timed(self.st.now, model, occupancy, load_time)
             .expect("load after eviction fits");
         self.cache.insert(g, model);
         self.on_residency_change(model);
@@ -1975,8 +1976,8 @@ impl Cluster {
         for _ in 1..requests.len() {
             self.cache.touch(g, model);
         }
-        let seq = self.dispatch_seq;
-        self.dispatch_seq += 1;
+        let seq = self.st.dispatch_seq;
+        self.st.dispatch_seq += 1;
         if self.recorder.is_some() {
             self.emit(ObsEvent::LoadStart {
                 gpu: g,
@@ -1985,11 +1986,11 @@ impl Cluster {
                 tier,
             });
         }
-        self.units[gi].in_flight = Some(InFlight {
+        self.st.units[gi].in_flight = Some(InFlight {
             requests,
             phase: Phase::Loading,
             was_hit: false,
-            started: self.now,
+            started: self.st.now,
             seq,
             tier,
         });
@@ -1997,356 +1998,13 @@ impl Cluster {
     }
 
     fn on_residency_change(&mut self, model: ModelId) {
-        if self.hot_model == Some(model) {
+        if self.st.hot_model == Some(model) {
             let replicas = self.cache.replica_count(model);
-            self.metrics.record_hot_replicas(self.now, replicas);
+            self.metrics.record_hot_replicas(self.st.now, replicas);
             if self.recorder.is_some() {
                 self.emit(ObsEvent::HotReplicas { replicas });
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Versioned state: snapshot / rollback / commit (gfaas-snap)
-    // ------------------------------------------------------------------
-
-    /// Pins the complete mutable simulation state in the snapshot
-    /// journal and returns a handle. The cluster keeps running normally;
-    /// [`Cluster::rollback`] restores this instant byte-identically,
-    /// [`Cluster::commit`] retires the pin. Zero-cost when unused: no
-    /// run-loop path touches the journal.
-    pub fn snapshot(&mut self) -> SnapId {
-        let img = self.capture_image(&self.events);
-        self.journal.snapshot(img)
-    }
-
-    /// Restores the state pinned by `id`, discarding everything that
-    /// happened since — metrics, RNG, queues, residency, pending events,
-    /// the arrival cursor, all of it. The pin survives, so the same
-    /// snapshot can be rolled back to again. Returns false for a dead or
-    /// foreign id. An attached recorder is *not* rewound: rolling back
-    /// mid-recording leaves already-emitted telemetry in the sink (the
-    /// lookahead forks stash the recorder first for exactly that reason).
-    pub fn rollback(&mut self, id: SnapId) -> bool {
-        let Some(img) = self.journal.rollback(id) else {
-            return false;
-        };
-        let mut events = std::mem::take(&mut self.events);
-        self.apply_image(img, &mut events);
-        self.events = events;
-        true
-    }
-
-    /// Retires the pin `id` (and any older pins), keeping the current
-    /// timeline. Returns false for a dead or foreign id.
-    pub fn commit(&mut self, id: SnapId) -> bool {
-        self.journal.commit(id)
-    }
-
-    /// Journal counters: snapshots taken, rollbacks (including
-    /// speculative forks), commits.
-    pub fn journal_stats(&self) -> JournalStats {
-        self.journal.stats()
-    }
-
-    /// Live (uncommitted, un-rolled-back) pins in the journal.
-    pub fn journal_depth(&self) -> usize {
-        self.journal.depth()
-    }
-
-    /// Deep-copies every piece of mutable simulation state into a
-    /// [`ClusterImage`]. The event heap is passed in because the drive
-    /// loop owns it (`mem::take`n) while a speculation fork captures.
-    fn capture_image(&self, events: &EventQueue<Event>) -> ClusterImage {
-        let blob_of = |f: &dyn Fn(&mut Enc)| {
-            let mut enc = Enc::new();
-            f(&mut enc);
-            enc.into_bytes()
-        };
-        ClusterImage {
-            units: self.units.clone(),
-            cache_blob: blob_of(&|e| self.cache.save_state(e)),
-            sched_blob: self.sched.as_ref().map(|s| blob_of(&|e| s.save_state(e))),
-            batcher_blob: blob_of(&|e| self.batcher.save_state(e)),
-            store_blob: blob_of(&|e| self.store.save_state(e)),
-            autoscaler_blob: self
-                .autoscaler
-                .as_ref()
-                .map(|a| blob_of(&|e| a.save_state(e))),
-            global_queue: self.global_queue.clone(),
-            metrics: self.metrics.snapshot_image(),
-            now: self.now,
-            last_completion: self.last_completion,
-            hot_model: self.hot_model,
-            local_moves: self.local_moves,
-            crashes: self.crashes,
-            dispatch_seq: self.dispatch_seq,
-            rng: self.rng.state(),
-            scale_ups: self.scale_ups,
-            scale_downs: self.scale_downs,
-            online_low: self.online_low,
-            online_high: self.online_high,
-            pending_total: self.pending_total,
-            holding_units: self.holding_units,
-            draining_units: self.draining_units,
-            busy_secs: self.busy_secs,
-            local_aggs: self.local_aggs.clone(),
-            events: events.clone(),
-            next_arrival: self.next_arrival,
-            run_started: self.run_started,
-            profile: self.profile.clone(),
-            estimator_calls: self.estimator_calls.get(),
-            #[cfg(feature = "simcheck")]
-            simcheck: self.simcheck.clone(),
-        }
-    }
-
-    /// Restores an image captured by [`Cluster::capture_image`],
-    /// byte-for-byte. Policy objects (scheduler, batcher, store,
-    /// evictor, autoscaler) are the same *objects* — only their mutable
-    /// state is rewound, through their save/load hooks.
-    fn apply_image(&mut self, img: ClusterImage, events: &mut EventQueue<Event>) {
-        self.metrics.restore_image(&img.metrics);
-        self.units = img.units;
-        let mut dec = Dec::new(&img.cache_blob);
-        self.cache
-            .load_state(&mut dec)
-            .expect("journaled cache image decodes");
-        match (self.sched.as_mut(), &img.sched_blob) {
-            (Some(s), Some(b)) => {
-                let mut dec = Dec::new(b);
-                s.load_state(&mut dec)
-                    .expect("journaled scheduler image decodes");
-            }
-            (None, None) => {}
-            _ => unreachable!("snapshot and rollback straddle a scheduling pass"),
-        }
-        let mut dec = Dec::new(&img.batcher_blob);
-        self.batcher
-            .load_state(&mut dec)
-            .expect("journaled batcher image decodes");
-        let mut dec = Dec::new(&img.store_blob);
-        self.store
-            .load_state(&mut dec)
-            .expect("journaled store image decodes");
-        match (self.autoscaler.as_mut(), &img.autoscaler_blob) {
-            (Some(a), Some(b)) => {
-                let mut dec = Dec::new(b);
-                a.load_state(&mut dec)
-                    .expect("journaled autoscaler image decodes");
-            }
-            (None, None) => {}
-            _ => unreachable!("autoscaler presence cannot change mid-run"),
-        }
-        self.global_queue = img.global_queue;
-        self.now = img.now;
-        self.last_completion = img.last_completion;
-        self.hot_model = img.hot_model;
-        self.local_moves = img.local_moves;
-        self.crashes = img.crashes;
-        self.dispatch_seq = img.dispatch_seq;
-        self.rng = DetRng::from_state(img.rng);
-        self.scale_ups = img.scale_ups;
-        self.scale_downs = img.scale_downs;
-        self.online_low = img.online_low;
-        self.online_high = img.online_high;
-        self.pending_total = img.pending_total;
-        self.holding_units = img.holding_units;
-        self.draining_units = img.draining_units;
-        self.busy_secs = img.busy_secs;
-        self.local_aggs = img.local_aggs;
-        self.idle.rebuild(&self.units);
-        *events = img.events;
-        self.next_arrival = img.next_arrival;
-        self.run_started = img.run_started;
-        self.profile = img.profile;
-        self.estimator_calls.set(img.estimator_calls);
-        #[cfg(feature = "simcheck")]
-        {
-            self.simcheck = img.simcheck;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Trace checkpoint / warm start (on-disk form of the state image)
-    // ------------------------------------------------------------------
-
-    /// FNV digest of the full config debug form — the checkpoint
-    /// envelope's compatibility fingerprint.
-    fn config_digest(&self) -> u64 {
-        fnv1a(format!("{:?}", self.config).as_bytes())
-    }
-
-    /// Serialises the paused run into a self-describing byte image. The
-    /// envelope carries digests of the config and the trace, so a
-    /// [`Cluster::restore`] into a different world is rejected instead of
-    /// silently diverging. Call between [`Cluster::run_until`] and
-    /// [`Cluster::resume`]; a warm-started run's metrics are
-    /// byte-identical to an uninterrupted one.
-    pub fn checkpoint(&self, trace: &Trace) -> Vec<u8> {
-        let mut enc = Enc::new();
-        write_header(
-            &mut enc,
-            self.config_digest(),
-            trace_digest(trace),
-            trace.len(),
-        );
-        for u in &self.units {
-            save_unit(&mut enc, u);
-        }
-        self.cache.save_state(&mut enc);
-        self.sched
-            .as_ref()
-            .expect("checkpoint outside a scheduling pass")
-            .save_state(&mut enc);
-        self.batcher.save_state(&mut enc);
-        self.store.save_state(&mut enc);
-        enc.put_bool(self.autoscaler.is_some());
-        if let Some(a) = &self.autoscaler {
-            a.save_state(&mut enc);
-        }
-        enc.put_usize(self.global_queue.len());
-        for r in &self.global_queue {
-            save_request(&mut enc, r);
-        }
-        self.metrics.save_state(&mut enc);
-        enc.put_time(self.now);
-        enc.put_time(self.last_completion);
-        enc.put_bool(self.hot_model.is_some());
-        if let Some(m) = self.hot_model {
-            enc.put_u32(m.0);
-        }
-        enc.put_u64(self.local_moves);
-        enc.put_u64(self.crashes);
-        enc.put_u64(self.dispatch_seq);
-        for w in self.rng.state() {
-            enc.put_u64(w);
-        }
-        enc.put_u64(self.scale_ups);
-        enc.put_u64(self.scale_downs);
-        enc.put_usize(self.online_low);
-        enc.put_usize(self.online_high);
-        enc.put_u64(self.pending_total);
-        enc.put_usize(self.idle.len());
-        enc.put_usize(self.holding_units);
-        enc.put_usize(self.draining_units);
-        enc.put_f64(self.busy_secs);
-        save_events(&mut enc, &self.events);
-        enc.put_usize(self.next_arrival);
-        enc.put_bool(self.run_started);
-        // The sanitizer slot is written unconditionally so the wire
-        // layout is identical with and without the `simcheck` feature —
-        // a checkpoint taken by either build restores under either.
-        #[cfg(feature = "simcheck")]
-        self.simcheck.save_state(&mut enc);
-        #[cfg(not(feature = "simcheck"))]
-        {
-            enc.put_u64(0);
-            enc.put_time(SimTime::ZERO);
-            enc.put_u64(0);
-            enc.put_u64(0);
-            enc.put_time(SimTime::ZERO);
-            enc.put_usize(0);
-            enc.put_u128(0);
-        }
-        enc.into_bytes()
-    }
-
-    /// Restores a [`Cluster::checkpoint`] image into this cluster, which
-    /// must have been built from the same config and be resuming the
-    /// same trace (both enforced by the envelope digests). On success
-    /// the cluster is exactly the paused instant; drive it with
-    /// [`Cluster::resume`] or [`Cluster::run_until`].
-    pub fn restore(&mut self, bytes: &[u8], trace: &Trace) -> Result<(), SnapError> {
-        let mut dec = Dec::new(bytes);
-        read_header(
-            &mut dec,
-            self.config_digest(),
-            trace_digest(trace),
-            trace.len(),
-        )?;
-        for u in &mut self.units {
-            load_unit(&mut dec, u)?;
-        }
-        self.cache.load_state(&mut dec)?;
-        self.sched
-            .as_mut()
-            .expect("restore outside a scheduling pass")
-            .load_state(&mut dec)?;
-        self.batcher.load_state(&mut dec)?;
-        self.store.load_state(&mut dec)?;
-        if dec.bool()? != self.autoscaler.is_some() {
-            return Err(SnapError::Corrupt("autoscaler presence mismatch"));
-        }
-        if let Some(a) = self.autoscaler.as_mut() {
-            a.load_state(&mut dec)?;
-        }
-        let qlen = dec.usize()?;
-        let mut queue = VecDeque::with_capacity(qlen.min(dec.remaining()));
-        for _ in 0..qlen {
-            queue.push_back(load_request(&mut dec)?);
-        }
-        self.global_queue = queue;
-        self.metrics = MetricsCollector::load_state(&mut dec)?;
-        self.now = dec.time()?;
-        self.last_completion = dec.time()?;
-        self.hot_model = if dec.bool()? {
-            Some(ModelId(dec.u32()?))
-        } else {
-            None
-        };
-        self.local_moves = dec.u64()?;
-        self.crashes = dec.u64()?;
-        self.dispatch_seq = dec.u64()?;
-        let mut rng_state = [0u64; 4];
-        for w in &mut rng_state {
-            *w = dec.u64()?;
-        }
-        if rng_state == [0u64; 4] {
-            return Err(SnapError::Corrupt("all-zero rng state"));
-        }
-        self.rng = DetRng::from_state(rng_state);
-        self.scale_ups = dec.u64()?;
-        self.scale_downs = dec.u64()?;
-        self.online_low = dec.usize()?;
-        self.online_high = dec.usize()?;
-        self.pending_total = dec.u64()?;
-        // The fleet counters are derived from the units; the wire copies
-        // are checked against them below instead of trusted.
-        let idle_online = dec.usize()?;
-        self.holding_units = dec.usize()?;
-        self.draining_units = dec.usize()?;
-        self.busy_secs = dec.f64()?;
-        self.events = load_events(&mut dec)?;
-        self.next_arrival = dec.usize()?;
-        if self.next_arrival > trace.len() {
-            return Err(SnapError::Corrupt("arrival cursor past trace end"));
-        }
-        self.run_started = dec.bool()?;
-        #[cfg(feature = "simcheck")]
-        self.simcheck.load_state(&mut dec)?;
-        #[cfg(not(feature = "simcheck"))]
-        {
-            let _ = dec.u64()?;
-            let _ = dec.time()?;
-            let _ = dec.u64()?;
-            let _ = dec.u64()?;
-            let _ = dec.time()?;
-            let _ = dec.usize()?;
-            let _ = dec.u128()?;
-        }
-        dec.finish()?;
-        // Derived state follows the restored units and queues.
-        for gi in 0..self.units.len() {
-            self.agg_rebuild(gi);
-        }
-        self.idle.rebuild(&self.units);
-        if (idle_online, (self.holding_units, self.draining_units))
-            != (self.idle.len(), fleet_counts(&self.units))
-        {
-            return Err(SnapError::Corrupt("fleet counters disagree with the units"));
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -2368,7 +2026,10 @@ impl Cluster {
         horizon: usize,
     ) -> SpecScore {
         let recorder = self.recorder.take();
-        let id = self.journal.snapshot(self.capture_image(events));
+        // Park the drive loop's event heap in the state for the capture.
+        std::mem::swap(events, &mut self.st.events);
+        let id = self.journal.snapshot(self.capture_image());
+        std::mem::swap(events, &mut self.st.events);
         let completed0 = self.metrics.completed();
         let lat0 = self.metrics.latency_sample_count();
 
@@ -2376,11 +2037,12 @@ impl Cluster {
         // same bookkeeping as `SchedCtx::take_queued`, so conservation
         // audits hold inside the fork.
         let r = self
+            .st
             .global_queue
             .remove(queue_index)
             .expect("speculated index in bounds");
-        let qlen = self.global_queue.len();
-        let now = self.now;
+        let qlen = self.st.global_queue.len();
+        let now = self.st.now;
         self.note_queue_depth(now, qlen);
         match placement {
             SpecPlacement::HitOn(g) => self.dispatch_batched(g.0 as usize, r, true, events),
@@ -2393,9 +2055,9 @@ impl Cluster {
         // rest of the outer round would serve next (Algorithm 1's local
         // priority). Serve them now so the replay's own passes see the
         // post-round invariant — an idle GPU never sits on queued work.
-        for gi in 0..self.units.len() {
-            if self.units[gi].state != UnitState::Offline && self.units[gi].is_idle() {
-                if let Some(r) = self.units[gi].local_queue.pop_front() {
+        for gi in 0..self.st.units.len() {
+            if self.st.units[gi].state != UnitState::Offline && self.st.units[gi].is_idle() {
+                if let Some(r) = self.st.units[gi].local_queue.pop_front() {
                     self.agg_remove(gi, &r);
                     self.dispatch_batched(gi, r, true, events);
                 }
@@ -2413,11 +2075,11 @@ impl Cluster {
             let Some((t, ev)) = events.pop() else {
                 break;
             };
-            debug_assert!(t >= self.now, "event delivered out of order");
+            debug_assert!(t >= self.st.now, "event delivered out of order");
             self.profile.events_popped += 1;
-            self.now = t;
+            self.st.now = t;
             #[cfg(feature = "simcheck")]
-            if self.simcheck.on_event(t) {
+            if self.st.simcheck.on_event(t) {
                 self.audit_invariants();
             }
             self.handle_event(ev, events);
@@ -2426,12 +2088,12 @@ impl Cluster {
 
         // The waiting bill: completions pay their latency, everything
         // still outstanding pays its age as of the fork's end time.
-        let end = self.now;
+        let end = self.st.now;
         let age = |r: &Request| end.duration_since(r.arrival).as_micros() as u128;
         let mut cost_ticks = self.metrics.latency_ticks_from(lat0) as u128;
-        cost_ticks += self.global_queue.iter().map(age).sum::<u128>();
-        let mut pending = self.global_queue.len();
-        for u in &self.units {
+        cost_ticks += self.st.global_queue.iter().map(age).sum::<u128>();
+        let mut pending = self.st.global_queue.len();
+        for u in &self.st.units {
             pending += u.local_queue.len();
             cost_ticks += u.local_queue.iter().map(age).sum::<u128>();
             if let Some(f) = &u.in_flight {
@@ -2450,7 +2112,8 @@ impl Cluster {
         // `take` (not commit) retires only this fork's frame, so pins
         // the caller holds across the pass survive.
         let img = self.journal.take(id).expect("speculation frame is live");
-        self.apply_image(img, events);
+        self.apply_image(img);
+        *events = std::mem::take(&mut self.st.events);
         self.recorder = recorder;
         score
     }
@@ -2465,11 +2128,11 @@ impl Cluster {
     /// also what the property tests lean on.
     fn estimated_join_wait_fast(&self, gi: usize, model: ModelId) -> SimDuration {
         self.estimator_calls.set(self.estimator_calls.get() + 1);
-        let unit = &self.units[gi];
+        let unit = &self.st.units[gi];
         let mut wait = unit
             .device
             .busy_until()
-            .map(|t| t.duration_since(self.now))
+            .map(|t| t.duration_since(self.st.now))
             .unwrap_or(SimDuration::ZERO);
         'done: {
             if let Some(f) = &unit.in_flight {
@@ -2481,7 +2144,7 @@ impl Cluster {
                 }
             }
             if let Some(h) = &unit.holding {
-                wait += h.release_at.duration_since(self.now.min(h.release_at));
+                wait += h.release_at.duration_since(self.st.now.min(h.release_at));
                 if h.model() == model {
                     break 'done; // joins the held batch at its release
                 }
@@ -2506,7 +2169,7 @@ impl Cluster {
             let (compute_scale, load_scale) = (spec.compute_scale, spec.load_scale);
             let registry = &self.registry;
             let naive = unit.estimated_join_wait(
-                self.now,
+                self.st.now,
                 model,
                 |m, b| registry.infer_time(m, b).mul_f64(compute_scale),
                 |m| self.load_cost_scaled(m, load_scale),
@@ -2515,50 +2178,6 @@ impl Cluster {
         }
         wait
     }
-}
-
-/// A deep copy of every piece of mutable simulation state, pinned in the
-/// snapshot journal. GPU units, queues, and the event heap are plain
-/// clones; policy objects (scheduler, batcher, store, evictor inside the
-/// cache, autoscaler) contribute their mutable state through the same
-/// save/load hooks the on-disk checkpoint uses. Scratch buffers
-/// (`batch_pool`, `idle_scratch`, `obs_scratch`) and the attached
-/// recorder are deliberately not part of the image.
-#[derive(Clone)]
-struct ClusterImage {
-    units: Vec<GpuUnit>,
-    cache_blob: Vec<u8>,
-    /// `None` exactly when captured during a scheduling pass (the policy
-    /// is `mem::take`n then) — restore must agree on presence.
-    sched_blob: Option<Vec<u8>>,
-    batcher_blob: Vec<u8>,
-    store_blob: Vec<u8>,
-    autoscaler_blob: Option<Vec<u8>>,
-    global_queue: VecDeque<Request>,
-    metrics: MetricsImage,
-    now: SimTime,
-    last_completion: SimTime,
-    hot_model: Option<ModelId>,
-    local_moves: u64,
-    crashes: u64,
-    dispatch_seq: u64,
-    rng: [u64; 4],
-    scale_ups: u64,
-    scale_downs: u64,
-    online_low: usize,
-    online_high: usize,
-    pending_total: u64,
-    holding_units: usize,
-    draining_units: usize,
-    busy_secs: f64,
-    local_aggs: Vec<LocalAgg>,
-    events: EventQueue<Event>,
-    next_arrival: usize,
-    run_started: bool,
-    profile: SelfProfile,
-    estimator_calls: u64,
-    #[cfg(feature = "simcheck")]
-    simcheck: SimChecker,
 }
 
 /// A candidate placement a lookahead policy can fork on — the three §IV
@@ -2617,225 +2236,6 @@ fn fleet_counts(units: &[GpuUnit]) -> (usize, usize) {
     (holding, draining)
 }
 
-/// FNV digest over the trace's observable arrival stream — the
-/// checkpoint envelope's proof that a warm start resumes the same
-/// workload it paused.
-fn trace_digest(trace: &Trace) -> u64 {
-    let mut h = Fnv1a::new();
-    for r in trace.requests() {
-        h.write_u64(r.at.as_micros());
-        h.write_u64(r.function as u64);
-        h.write_u64(r.model as u64);
-    }
-    h.finish()
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint codecs for the driver-owned plain-data state
-// ---------------------------------------------------------------------------
-
-fn save_request(enc: &mut Enc, r: &Request) {
-    enc.put_u64(r.id);
-    enc.put_u32(r.function);
-    enc.put_u32(r.model.0);
-    enc.put_usize(r.batch);
-    enc.put_time(r.arrival);
-    enc.put_u32(r.visits);
-    enc.put_u16(r.tenant);
-}
-
-fn load_request(dec: &mut Dec<'_>) -> Result<Request, SnapError> {
-    Ok(Request {
-        id: dec.u64()?,
-        function: dec.u32()?,
-        model: ModelId(dec.u32()?),
-        batch: dec.usize()?,
-        arrival: dec.time()?,
-        visits: dec.u32()?,
-        tenant: dec.u16()?,
-    })
-}
-
-fn save_inflight(enc: &mut Enc, f: &InFlight) {
-    enc.put_usize(f.requests.len());
-    for r in &f.requests {
-        save_request(enc, r);
-    }
-    enc.put_u8(match f.phase {
-        Phase::Loading => 0,
-        Phase::Running => 1,
-    });
-    enc.put_bool(f.was_hit);
-    enc.put_time(f.started);
-    enc.put_u64(f.seq);
-    enc.put_u8(f.tier.0);
-}
-
-fn load_inflight(dec: &mut Dec<'_>) -> Result<InFlight, SnapError> {
-    let n = dec.usize()?;
-    let mut requests = Vec::with_capacity(n.min(dec.remaining()));
-    for _ in 0..n {
-        requests.push(load_request(dec)?);
-    }
-    let phase = match dec.u8()? {
-        0 => Phase::Loading,
-        1 => Phase::Running,
-        _ => return Err(SnapError::Corrupt("unknown in-flight phase")),
-    };
-    Ok(InFlight {
-        requests,
-        phase,
-        was_hit: dec.bool()?,
-        started: dec.time()?,
-        seq: dec.u64()?,
-        tier: Tier(dec.u8()?),
-    })
-}
-
-fn save_hold(enc: &mut Enc, h: &HoldSlot) {
-    enc.put_usize(h.requests.len());
-    for r in &h.requests {
-        save_request(enc, r);
-    }
-    enc.put_usize(h.max_requests);
-    enc.put_bool(h.hit);
-    enc.put_time(h.release_at);
-    enc.put_u64(h.seq);
-}
-
-fn load_hold(dec: &mut Dec<'_>) -> Result<HoldSlot, SnapError> {
-    let n = dec.usize()?;
-    let mut requests = Vec::with_capacity(n.min(dec.remaining()));
-    for _ in 0..n {
-        requests.push(load_request(dec)?);
-    }
-    Ok(HoldSlot {
-        requests,
-        max_requests: dec.usize()?,
-        hit: dec.bool()?,
-        release_at: dec.time()?,
-        seq: dec.u64()?,
-    })
-}
-
-fn save_unit(enc: &mut Enc, u: &GpuUnit) {
-    u.device.save_state(enc);
-    enc.put_usize(u.local_queue.len());
-    for r in &u.local_queue {
-        save_request(enc, r);
-    }
-    enc.put_bool(u.in_flight.is_some());
-    if let Some(f) = &u.in_flight {
-        save_inflight(enc, f);
-    }
-    enc.put_bool(u.holding.is_some());
-    if let Some(h) = &u.holding {
-        save_hold(enc, h);
-    }
-    enc.put_u64(u.hits);
-    enc.put_time(u.idle_since);
-    enc.put_u8(match u.state {
-        UnitState::Online => 0,
-        UnitState::Draining => 1,
-        UnitState::Offline => 2,
-    });
-    enc.put_time(u.online_since);
-    enc.put_dur(u.provisioned);
-}
-
-fn load_unit(dec: &mut Dec<'_>, u: &mut GpuUnit) -> Result<(), SnapError> {
-    u.device.load_state(dec)?;
-    let n = dec.usize()?;
-    let mut queue = VecDeque::with_capacity(n.min(dec.remaining()));
-    for _ in 0..n {
-        queue.push_back(load_request(dec)?);
-    }
-    u.local_queue = queue;
-    u.in_flight = if dec.bool()? {
-        Some(load_inflight(dec)?)
-    } else {
-        None
-    };
-    u.holding = if dec.bool()? {
-        Some(load_hold(dec)?)
-    } else {
-        None
-    };
-    u.hits = dec.u64()?;
-    u.idle_since = dec.time()?;
-    u.state = match dec.u8()? {
-        0 => UnitState::Online,
-        1 => UnitState::Draining,
-        2 => UnitState::Offline,
-        _ => return Err(SnapError::Corrupt("unknown unit state")),
-    };
-    u.online_since = dec.time()?;
-    u.provisioned = dec.dur()?;
-    Ok(())
-}
-
-fn save_events(enc: &mut Enc, q: &EventQueue<Event>) {
-    enc.put_u64(q.next_seq());
-    enc.put_u64(q.total_scheduled());
-    enc.put_u64(q.total_delivered());
-    let entries = q.entries();
-    enc.put_usize(entries.len());
-    for (t, seq, ev) in entries {
-        enc.put_time(t);
-        enc.put_u64(seq);
-        save_event(enc, ev);
-    }
-}
-
-fn load_events(dec: &mut Dec<'_>) -> Result<EventQueue<Event>, SnapError> {
-    let next_seq = dec.u64()?;
-    let scheduled = dec.u64()?;
-    let delivered = dec.u64()?;
-    let n = dec.usize()?;
-    let mut entries = Vec::with_capacity(n.min(dec.remaining()));
-    for _ in 0..n {
-        let t = dec.time()?;
-        let seq = dec.u64()?;
-        entries.push((t, seq, load_event(dec)?));
-    }
-    Ok(EventQueue::from_parts(
-        entries, next_seq, scheduled, delivered,
-    ))
-}
-
-fn save_event(enc: &mut Enc, ev: &Event) {
-    match ev {
-        Event::GpuDone(g, seq) => {
-            enc.put_u8(0);
-            enc.put_u16(g.0);
-            enc.put_u64(*seq);
-        }
-        Event::GpuCrash(g, seq) => {
-            enc.put_u8(1);
-            enc.put_u16(g.0);
-            enc.put_u64(*seq);
-        }
-        Event::ScaleTick => enc.put_u8(2),
-        Event::BatchHold(g, seq) => {
-            enc.put_u8(3);
-            enc.put_u16(g.0);
-            enc.put_u64(*seq);
-        }
-        Event::ObsTick => enc.put_u8(4),
-    }
-}
-
-fn load_event(dec: &mut Dec<'_>) -> Result<Event, SnapError> {
-    Ok(match dec.u8()? {
-        0 => Event::GpuDone(GpuId(dec.u16()?), dec.u64()?),
-        1 => Event::GpuCrash(GpuId(dec.u16()?), dec.u64()?),
-        2 => Event::ScaleTick,
-        3 => Event::BatchHold(GpuId(dec.u16()?), dec.u64()?),
-        4 => Event::ObsTick,
-        _ => return Err(SnapError::Corrupt("unknown event tag")),
-    })
-}
-
 /// The borrowed cluster view a [`SchedulerPolicy`] works through during a
 /// scheduling pass: read access to the global queue, GPU/cache/finish-time
 /// state, plus the two Algorithm 2 placement commands that execute on
@@ -2851,12 +2251,12 @@ impl SchedCtx<'_> {
 
     /// Requests currently waiting in the global queue.
     pub fn queue_len(&self) -> usize {
-        self.cluster.global_queue.len()
+        self.cluster.st.global_queue.len()
     }
 
     /// The queued request at position `i` (0 = head, arrival order).
     pub fn queued(&self, i: usize) -> &Request {
-        &self.cluster.global_queue[i]
+        &self.cluster.st.global_queue[i]
     }
 
     /// Removes and returns the queued request at position `i` for
@@ -2864,11 +2264,12 @@ impl SchedCtx<'_> {
     pub fn take_queued(&mut self, i: usize) -> Request {
         let r = self
             .cluster
+            .st
             .global_queue
             .remove(i)
             .expect("index in bounds");
-        let qlen = self.cluster.global_queue.len();
-        let now = self.cluster.now;
+        let qlen = self.cluster.st.global_queue.len();
+        let now = self.cluster.st.now;
         self.cluster.note_queue_depth(now, qlen);
         if self.cluster.recorder.is_some() {
             self.cluster.emit(ObsEvent::QueueDepth { len: qlen });
@@ -2879,7 +2280,7 @@ impl SchedCtx<'_> {
     /// Records that the request at position `i` was passed over by
     /// out-of-order dispatch (Algorithm 1's visit counter).
     pub fn note_skip(&mut self, i: usize) {
-        self.cluster.global_queue[i].visits += 1;
+        self.cluster.st.global_queue[i].visits += 1;
     }
 
     /// True iff §VI isolation forbids dispatching more work for `tenant`.
@@ -2891,24 +2292,24 @@ impl SchedCtx<'_> {
 
     /// True iff `gpu` has no request in flight.
     pub fn is_idle(&self, gpu: GpuId) -> bool {
-        self.cluster.units[gpu.0 as usize].is_idle()
+        self.cluster.st.units[gpu.0 as usize].is_idle()
     }
 
     /// Requests waiting in `gpu`'s local queue. An idle GPU with a
     /// backlog is mid-pass — Algorithm 1's local priority will serve it
     /// before new work may target it, so hit-elsewhere arms must skip it.
     pub fn local_backlog(&self, gpu: GpuId) -> usize {
-        self.cluster.units[gpu.0 as usize].local_queue.len()
+        self.cluster.st.units[gpu.0 as usize].local_queue.len()
     }
 
     /// Cache hits `gpu` has served (Algorithm 1's frequency ordering key).
     pub fn hits(&self, gpu: GpuId) -> u64 {
-        self.cluster.units[gpu.0 as usize].hits
+        self.cluster.st.units[gpu.0 as usize].hits
     }
 
     /// When `gpu` last became idle (LB's longest-idle ordering key).
     pub fn idle_since(&self, gpu: GpuId) -> SimTime {
-        self.cluster.units[gpu.0 as usize].idle_since
+        self.cluster.st.units[gpu.0 as usize].idle_since
     }
 
     /// Estimated time until `gpu` drains its in-flight request and local
@@ -2954,7 +2355,7 @@ impl SchedCtx<'_> {
     /// draining GPU still holds its models but must not attract new work,
     /// and its residents are about to be evicted anyway.
     pub fn online_holders(&self, model: ModelId) -> impl Iterator<Item = GpuId> + '_ {
-        let units = &self.cluster.units;
+        let units = &self.cluster.st.units;
         self.cluster
             .cache
             .holders(model)
@@ -3001,7 +2402,7 @@ impl SchedCtx<'_> {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.cluster.now
+        self.cluster.st.now
     }
 
     // --- placement commands (execute immediately) ---------------------
@@ -3012,7 +2413,7 @@ impl SchedCtx<'_> {
     pub fn dispatch_hit(&mut self, gpu: GpuId, r: Request) {
         let gi = gpu.0 as usize;
         debug_assert!(
-            self.cluster.units[gi].local_queue.is_empty(),
+            self.cluster.st.units[gi].local_queue.is_empty(),
             "idle GPUs have drained local queues"
         );
         if self.cluster.recorder.is_some() {
@@ -3119,18 +2520,18 @@ pub struct ScaleView<'a> {
 impl ScaleView<'_> {
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.cluster.now
+        self.cluster.st.now
     }
 
     /// Requests waiting in the global queue — the pressure signal.
     pub fn queue_len(&self) -> usize {
-        self.cluster.global_queue.len()
+        self.cluster.st.global_queue.len()
     }
 
     /// Devices in the pool (online + draining + offline) — the autoscale
     /// `max_gpus`.
     pub fn total_gpus(&self) -> usize {
-        self.cluster.units.len()
+        self.cluster.st.units.len()
     }
 
     /// Online (dispatchable) GPUs.
@@ -3141,6 +2542,7 @@ impl ScaleView<'_> {
     /// GPUs currently draining toward offline.
     pub fn draining_gpus(&self) -> usize {
         self.cluster
+            .st
             .units
             .iter()
             .filter(|u| u.state == UnitState::Draining)
@@ -3150,6 +2552,7 @@ impl ScaleView<'_> {
     /// Online GPUs with a request in flight.
     pub fn busy_gpus(&self) -> usize {
         self.cluster
+            .st
             .units
             .iter()
             .filter(|u| u.state == UnitState::Online && !u.is_idle())
@@ -3159,6 +2562,7 @@ impl ScaleView<'_> {
     /// The online GPUs, in id order.
     pub fn online(&self) -> Vec<GpuId> {
         self.cluster
+            .st
             .units
             .iter()
             .filter(|u| u.state == UnitState::Online)
@@ -3168,9 +2572,10 @@ impl ScaleView<'_> {
 
     /// How long `gpu` has been idle, or `None` when busy or not online.
     pub fn idle_secs(&self, gpu: GpuId) -> Option<f64> {
-        let unit = &self.cluster.units[gpu.0 as usize];
+        let unit = &self.cluster.st.units[gpu.0 as usize];
         (unit.state == UnitState::Online && unit.is_idle()).then(|| {
             self.cluster
+                .st
                 .now
                 .duration_since(unit.idle_since)
                 .as_secs_f64()
@@ -3179,12 +2584,14 @@ impl ScaleView<'_> {
 
     /// Depth of `gpu`'s local queue.
     pub fn local_depth(&self, gpu: GpuId) -> usize {
-        self.cluster.units[gpu.0 as usize].local_queue.len()
+        self.cluster.st.units[gpu.0 as usize].local_queue.len()
     }
 
     /// Number of models resident on `gpu`.
     pub fn resident_models(&self, gpu: GpuId) -> usize {
-        self.cluster.units[gpu.0 as usize].device.resident_count()
+        self.cluster.st.units[gpu.0 as usize]
+            .device
+            .resident_count()
     }
 }
 
@@ -3193,6 +2600,7 @@ mod tests {
     use super::*;
     use crate::scheduler::Policy;
     use gfaas_models::zoo::{Family, ModelSpec};
+    use gfaas_snap::{SnapError, HEADER_LEN};
     use gfaas_trace::TraceRequest;
 
     /// A registry of `n` identical small models: 100 MiB, 1 s load, 1 s
@@ -3672,8 +3080,8 @@ mod tests {
         // Drain evictions clear the victim's device without polluting the
         // replacement-policy eviction count.
         assert_eq!(c.evictions(), 0);
-        assert_eq!(c.units[0].device.resident_count(), 0);
-        assert_eq!(c.units[0].state, UnitState::Offline);
+        assert_eq!(c.st.units[0].device.resident_count(), 0);
+        assert_eq!(c.st.units[0].state, UnitState::Offline);
     }
 
     #[test]
@@ -3907,8 +3315,8 @@ mod tests {
         assert_eq!(m.completed, 5, "held requests survive the drain");
         assert_eq!(m.scale_down_events, 1);
         assert_eq!(m.effective_batch_hist, vec![(1, 3), (2, 1)]);
-        assert_eq!(c.units[0].state, UnitState::Offline);
-        assert!(c.units[0].holding.is_none());
+        assert_eq!(c.st.units[0].state, UnitState::Offline);
+        assert!(c.st.units[0].holding.is_none());
         assert_eq!(c.online_gpus(), 1);
     }
 
@@ -4218,11 +3626,219 @@ mod tests {
             Err(SnapError::BadMagic)
         ));
 
-        // A failed restore leaves the target untouched and runnable.
+        // A failed restore leaves the target untouched and runnable —
+        // also when the damage sits late in a body whose checksum holds:
+        // an unknown event tag, trailing bytes after the metrics, a body
+        // cut short inside the metrics (the last two fail after the
+        // policies were loaded, so their old state must be put back).
+        let first = c.st.events.entries()[0];
+        let mut event = first.0.as_micros().to_le_bytes().to_vec();
+        event.extend_from_slice(&first.1.to_le_bytes());
+        let late = [
+            (
+                resealed(&c, &t, |body| {
+                    let at = find_unique(body, &event) + event.len();
+                    body[at] = 9;
+                }),
+                SnapError::Corrupt("unknown event tag"),
+            ),
+            (
+                resealed(&c, &t, |body| body.push(0)),
+                SnapError::TrailingBytes(1),
+            ),
+            (
+                resealed(&c, &t, |body| body.truncate(body.len() - 3)),
+                SnapError::Truncated,
+            ),
+        ];
         let full = snap_cluster(&cfg).run(&t);
         let mut target = snap_cluster(&cfg);
         assert!(target.restore(&bad, &t).is_err());
+        for (damaged, err) in late {
+            assert_eq!(target.restore(&damaged, &t), Err(err));
+        }
         assert_eq!(target.run(&t), full);
+    }
+
+    /// The one offset at which `needle` occurs in `hay`.
+    fn find_unique(hay: &[u8], needle: &[u8]) -> usize {
+        let hits: Vec<usize> = (0..=hay.len() - needle.len())
+            .filter(|&i| hay[i..i + needle.len()] == *needle)
+            .collect();
+        assert_eq!(hits.len(), 1, "the pattern is located unambiguously");
+        hits[0]
+    }
+
+    /// `c`'s checkpoint with its body edited and then sealed again the
+    /// way [`Cluster::checkpoint`] seals it, so the checksum holds and
+    /// the decoder or the audit is what must catch the damage.
+    fn resealed(c: &Cluster, t: &Trace, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = c.checkpoint(t)[HEADER_LEN..].to_vec();
+        edit(&mut body);
+        c.seal(t, &body)
+    }
+
+    /// A deliberate corruption of a paused cluster's state.
+    type StateEdit = fn(&mut SimState);
+
+    /// The snapshot fixture paused at `at` seconds, its state edited by
+    /// `edit`, then checkpointed.
+    fn tampered(at: f64, edit: impl FnOnce(&mut SimState)) -> Vec<u8> {
+        let (cfg, t) = snap_fixture();
+        let mut c = snap_cluster(&cfg);
+        c.run_until(&t, SimTime::from_secs_f64(at));
+        assert!(snap_cluster(&cfg).restore(&c.checkpoint(&t), &t).is_ok());
+        edit(&mut c.st);
+        c.checkpoint(&t)
+    }
+
+    /// Restores `bytes` into a fresh fixture cluster.
+    fn restore_fixture(bytes: &[u8]) -> Result<(), SnapError> {
+        let (cfg, t) = snap_fixture();
+        snap_cluster(&cfg).restore(bytes, &t)
+    }
+
+    #[test]
+    fn restore_rejects_every_single_bit_flip_and_leaves_the_target_untouched() {
+        let (cfg, t) = snap_fixture();
+        let mut c = snap_cluster(&cfg);
+        c.run_until(&t, SimTime::from_secs_f64(1.0));
+        let bytes = c.checkpoint(&t);
+        let full = snap_cluster(&cfg).run(&t);
+        let mut target = snap_cluster(&cfg);
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(target.restore(&bad, &t).is_err(), "bit {bit} flipped");
+        }
+        assert_eq!(target.run(&t), full);
+    }
+
+    #[test]
+    fn restore_rejects_gpu_ids_out_of_range() {
+        // A completion for GPU 32769 on a four-GPU cluster would index
+        // past the units when it fires.
+        let bad = tampered(1.0, |st| {
+            let mut entries: Vec<_> = st
+                .events
+                .entries()
+                .into_iter()
+                .map(|(at, seq, ev)| (at, seq, ev.clone()))
+                .collect();
+            let Event::GpuDone(g, _) = &mut entries[0].2 else {
+                panic!("the first pending event is a completion");
+            };
+            g.0 |= 0x8000;
+            let q = &st.events;
+            let (next, scheduled, delivered) =
+                (q.next_seq(), q.total_scheduled(), q.total_delivered());
+            st.events = EventQueue::from_parts(entries, next, scheduled, delivered);
+        });
+        assert_eq!(
+            restore_fixture(&bad),
+            Err(SnapError::Corrupt("event names a gpu out of range"))
+        );
+    }
+
+    #[test]
+    fn restore_rejects_model_ids_out_of_range() {
+        // The fixture registers six models.
+        let edits: [StateEdit; 3] = [
+            |st| st.hot_model = Some(ModelId(999)),
+            |st| st.global_queue[0].model = ModelId(999),
+            |st| {
+                let u = st.units.iter_mut().find(|u| u.in_flight.is_some());
+                u.and_then(|u| u.in_flight.as_mut()).unwrap().requests[0].model = ModelId(999);
+            },
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            assert_eq!(
+                restore_fixture(&tampered(1.0, edit)),
+                Err(SnapError::Corrupt("model id out of range")),
+                "edit {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_work_without_its_pending_event() {
+        // A dispatch token that no pending completion carries: the real
+        // completion would be dropped as stale and the GPU never freed.
+        let bad = tampered(1.0, |st| {
+            let u = st.units.iter_mut().find(|u| u.in_flight.is_some());
+            u.and_then(|u| u.in_flight.as_mut()).unwrap().seq += 1;
+        });
+        assert_eq!(
+            restore_fixture(&bad),
+            Err(SnapError::Corrupt(
+                "in-flight work has no pending completion"
+            ))
+        );
+        // Likewise a held batch whose timer carries another token.
+        let (cfg, t) = snap_fixture();
+        let mut c = snap_cluster(&cfg);
+        let mut at = 0.0;
+        while c.st.holding_units == 0 {
+            at += 0.01;
+            assert!(at < 4.0, "the fixture parks a batch");
+            c.run_until(&t, SimTime::from_secs_f64(at));
+        }
+        let bad = tampered(at, |st| {
+            let u = st.units.iter_mut().find(|u| u.holding.is_some());
+            u.and_then(|u| u.holding.as_mut()).unwrap().seq += 1;
+        });
+        assert_eq!(
+            restore_fixture(&bad),
+            Err(SnapError::Corrupt("held batch has no pending timer"))
+        );
+    }
+
+    #[test]
+    fn restore_rejects_an_inconsistent_clock_or_an_empty_batch() {
+        let edits: [(StateEdit, &str); 3] = [
+            // Every pending event would lie in the past.
+            (
+                |st| st.now = SimTime::from_secs(1000),
+                "event pending before the clock",
+            ),
+            // A rewound cursor would admit an arrival a second time.
+            (|st| st.next_arrival -= 1, "clock past the next arrival"),
+            (
+                |st| {
+                    let u = st.units.iter_mut().find(|u| u.in_flight.is_some());
+                    u.and_then(|u| u.in_flight.as_mut())
+                        .unwrap()
+                        .requests
+                        .clear();
+                },
+                "empty batch",
+            ),
+        ];
+        for (edit, why) in edits {
+            assert_eq!(
+                restore_fixture(&tampered(1.0, edit)),
+                Err(SnapError::Corrupt(why))
+            );
+        }
+    }
+
+    #[test]
+    fn rollback_rewinds_the_self_profile() {
+        // The profile is journaled but not checkpointed, so the
+        // byte-comparing rollback tests cannot see it. At t=1.5 the
+        // second request weighs waiting on the busy holder against a
+        // load (Algorithm 2), so the estimator runs after the pin.
+        let t = trace_of(&[(0.0, 0), (1.5, 0)]);
+        let mut c = cluster(2, 1000, Policy::lalb(), 1);
+        c.run_until(&t, SimTime::from_secs_f64(1.0));
+        let pinned = c.self_profile();
+        let id = c.snapshot();
+        c.run_until(&t, SimTime::from_secs_f64(3.0));
+        let moved = c.self_profile();
+        assert!(moved.estimator_calls > pinned.estimator_calls);
+        assert!(moved.events_popped > pinned.events_popped);
+        assert!(c.rollback(id));
+        assert_eq!(c.self_profile(), pinned);
     }
 
     // ------------------------------------------------------------------
@@ -4231,10 +3847,10 @@ mod tests {
 
     /// Asserts the derived fleet state against a scan of the units.
     fn assert_fleet_index(c: &Cluster) {
-        assert_eq!(c.idle, IdleIndex::of(&c.units), "idle index");
+        assert_eq!(c.idle, IdleIndex::of(&c.st.units), "idle index");
         assert_eq!(
-            (c.holding_units, c.draining_units),
-            fleet_counts(&c.units),
+            (c.st.holding_units, c.st.draining_units),
+            fleet_counts(&c.st.units),
             "holding/draining counters"
         );
     }
@@ -4312,38 +3928,32 @@ mod tests {
         let (cfg, t) = snap_fixture();
         let mut c = snap_cluster(&cfg);
         c.run_until(&t, SimTime::from_secs_f64(0.1));
-        let bytes = c.checkpoint(&t);
-        // The three counters are consecutive little-endian words between
+        // The two counters are consecutive little-endian words between
         // the fleet watermarks and trace size and the busy-seconds
         // accumulator; locate that run of words.
         let mut tail = Vec::new();
         for w in [
-            c.online_low as u64,
-            c.online_high as u64,
-            c.pending_total,
-            c.idle.len() as u64,
-            c.holding_units as u64,
-            c.draining_units as u64,
-            c.busy_secs.to_bits(),
+            c.st.online_low as u64,
+            c.st.online_high as u64,
+            c.st.pending_total,
+            c.st.holding_units as u64,
+            c.st.draining_units as u64,
+            c.st.busy_secs.to_bits(),
         ] {
             tail.extend_from_slice(&w.to_le_bytes());
         }
-        let hits: Vec<usize> = (0..=bytes.len() - tail.len())
-            .filter(|&i| bytes[i..i + tail.len()] == tail[..])
-            .collect();
-        assert_eq!(hits.len(), 1, "the counters are located unambiguously");
-        for counter in 0..3 {
-            let mut bad = bytes.clone();
-            bad[hits[0] + (3 + counter) * 8] ^= 1;
-            assert!(
-                matches!(
-                    snap_cluster(&cfg).restore(&bad, &t),
-                    Err(SnapError::Corrupt(_))
-                ),
+        for counter in 0..2 {
+            let bad = resealed(&c, &t, |body| {
+                let at = find_unique(body, &tail) + (3 + counter) * 8;
+                body[at] ^= 1;
+            });
+            assert_eq!(
+                snap_cluster(&cfg).restore(&bad, &t),
+                Err(SnapError::Corrupt("fleet counters disagree with the units")),
                 "counter {counter} flipped"
             );
         }
-        assert!(snap_cluster(&cfg).restore(&bytes, &t).is_ok());
+        assert!(snap_cluster(&cfg).restore(&c.checkpoint(&t), &t).is_ok());
     }
 
     /// A test cluster driven by the lookahead what-if scheduler.

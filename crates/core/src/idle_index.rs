@@ -62,6 +62,7 @@ impl IdleIndex {
     }
 
     /// Online idle GPUs.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.ordered.len()
     }

@@ -19,10 +19,11 @@
 //! * [`Enc`] / [`Dec`] — the length-checked little-endian codec every
 //!   component uses to serialise its slice of the cluster image, both for
 //!   in-memory policy blobs and for on-disk checkpoints.
-//! * [`write_header`] / [`read_header`] — the `GFSNAP01` checkpoint
-//!   envelope: magic, format version, and FNV-1a digests of the cluster
-//!   config and the trace, so a warm start refuses to resume against a
-//!   world it was not captured in.
+//! * [`seal`] / [`open`] — the `GFSNAP01` checkpoint envelope: magic,
+//!   format version, FNV-1a digests of the cluster config and the trace,
+//!   so a warm start refuses to resume against a world it was not
+//!   captured in, and an FNV-1a checksum of the body, so a damaged file
+//!   is refused instead of decoded.
 //!
 //! What counts as "the image" is the cluster's business — this crate is
 //! deliberately ignorant of GPUs and schedulers. It only promises that
@@ -37,7 +38,7 @@ pub const MAGIC: [u8; 8] = *b"GFSNAP01";
 
 /// Checkpoint image format version. Bump on any layout change; restore
 /// rejects mismatches rather than misinterpreting bytes.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Why a checkpoint or blob failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +58,9 @@ pub enum SnapError {
     ConfigMismatch,
     /// The checkpoint was captured against a different trace.
     TraceMismatch,
+    /// The body does not match the digest in the envelope: the file was
+    /// damaged after it was written.
+    Checksum,
     /// Decoding finished with unread bytes left over.
     TrailingBytes(usize),
     /// A decoded value is structurally impossible (bad enum tag, bad
@@ -81,6 +85,7 @@ impl fmt::Display for SnapError {
             SnapError::TraceMismatch => {
                 write!(f, "checkpoint was captured against a different trace")
             }
+            SnapError::Checksum => write!(f, "checkpoint body fails its checksum"),
             SnapError::TrailingBytes(n) => {
                 write!(f, "checkpoint has {n} trailing bytes after the image")
             }
@@ -308,8 +313,11 @@ impl<'a> Dec<'a> {
 // ---------------------------------------------------------------------------
 
 /// Incremental FNV-1a (64-bit) — the checkpoint envelope's content
-/// digest. Not cryptographic; it only needs to make "wrong config" and
-/// "wrong trace" overwhelmingly unlikely to collide by accident.
+/// digest and body checksum. Not cryptographic; it only needs to make
+/// "wrong config" and "wrong trace" overwhelmingly unlikely to collide by
+/// accident. As a checksum it catches every change confined to one byte:
+/// each step `h = (h ^ b) * PRIME` is a bijection of `h` (the prime is
+/// odd), so two states that differ once never meet again.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -354,25 +362,36 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Writes the checkpoint envelope: magic, format version, config digest,
-/// trace digest, trace length. The body of the image follows.
-pub fn write_header(enc: &mut Enc, config_hash: u64, trace_hash: u64, trace_len: usize) {
+/// Wraps a checkpoint body in its envelope: magic, format version,
+/// config digest, trace digest, trace length, and the FNV-1a digest of
+/// the body, followed by the body itself. [`open`] is the inverse.
+pub fn seal(config_hash: u64, trace_hash: u64, trace_len: usize, body: &[u8]) -> Vec<u8> {
+    let mut enc = Enc::with_capacity(HEADER_LEN + body.len());
     enc.put_raw(&MAGIC);
     enc.put_u32(VERSION);
     enc.put_u64(config_hash);
     enc.put_u64(trace_hash);
     enc.put_usize(trace_len);
+    enc.put_u64(fnv1a(body));
+    enc.put_raw(body);
+    enc.into_bytes()
 }
 
-/// Validates the checkpoint envelope against the world the caller is
-/// restoring into. On success the decoder is positioned at the image
+/// Length of the envelope [`seal`] writes ahead of the body.
+pub const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
+
+/// Validates a [`seal`]ed checkpoint against the world the caller is
+/// restoring into and checks the body against its digest, so a flipped
+/// or torn byte anywhere in the file is an error rather than a
+/// differently-decoded run. On success the returned decoder reads the
 /// body.
-pub fn read_header(
-    dec: &mut Dec<'_>,
+pub fn open(
+    bytes: &[u8],
     config_hash: u64,
     trace_hash: u64,
     trace_len: usize,
-) -> Result<(), SnapError> {
+) -> Result<Dec<'_>, SnapError> {
+    let mut dec = Dec::new(bytes);
     if dec.take(8)? != MAGIC {
         return Err(SnapError::BadMagic);
     }
@@ -389,7 +408,12 @@ pub fn read_header(
     if dec.u64()? != trace_hash || dec.usize()? != trace_len {
         return Err(SnapError::TraceMismatch);
     }
-    Ok(())
+    let sum = dec.u64()?;
+    let body = dec.take(dec.remaining())?;
+    if fnv1a(body) != sum {
+        return Err(SnapError::Checksum);
+    }
+    Ok(Dec::new(body))
 }
 
 // ---------------------------------------------------------------------------
@@ -600,34 +624,28 @@ mod tests {
 
     #[test]
     fn header_round_trips_and_rejects_mismatches() {
-        let mut e = Enc::new();
-        write_header(&mut e, 0x1111, 0x2222, 640);
-        e.put_u8(0xfe); // image body
-        let bytes = e.into_bytes();
+        let bytes = seal(0x1111, 0x2222, 640, &[0xfe]);
+        assert_eq!(bytes.len(), HEADER_LEN + 1);
 
-        let mut d = Dec::new(&bytes);
-        read_header(&mut d, 0x1111, 0x2222, 640).unwrap();
+        let mut d = open(&bytes, 0x1111, 0x2222, 640).unwrap();
         assert_eq!(d.u8().unwrap(), 0xfe);
         d.finish().unwrap();
 
-        let mut d = Dec::new(&bytes);
         assert_eq!(
-            read_header(&mut d, 0x9999, 0x2222, 640),
-            Err(SnapError::ConfigMismatch)
-        );
-        let mut d = Dec::new(&bytes);
-        assert_eq!(
-            read_header(&mut d, 0x1111, 0x9999, 640),
-            Err(SnapError::TraceMismatch)
-        );
-        let mut d = Dec::new(&bytes);
-        assert_eq!(
-            read_header(&mut d, 0x1111, 0x2222, 641),
-            Err(SnapError::TraceMismatch)
+            open(&bytes, 0x9999, 0x2222, 640).err(),
+            Some(SnapError::ConfigMismatch)
         );
         assert_eq!(
-            read_header(&mut Dec::new(b"NOTSNAP0rest"), 0, 0, 0),
-            Err(SnapError::BadMagic)
+            open(&bytes, 0x1111, 0x9999, 640).err(),
+            Some(SnapError::TraceMismatch)
+        );
+        assert_eq!(
+            open(&bytes, 0x1111, 0x2222, 641).err(),
+            Some(SnapError::TraceMismatch)
+        );
+        assert_eq!(
+            open(b"NOTSNAP0rest", 0, 0, 0).err(),
+            Some(SnapError::BadMagic)
         );
 
         let mut e = Enc::new();
@@ -638,11 +656,29 @@ mod tests {
         e.put_usize(0);
         let bytes = e.into_bytes();
         assert_eq!(
-            read_header(&mut Dec::new(&bytes), 0, 0, 0),
-            Err(SnapError::Version {
+            open(&bytes, 0, 0, 0).err(),
+            Some(SnapError::Version {
                 found: VERSION + 1,
                 expect: VERSION
             })
+        );
+    }
+
+    #[test]
+    fn open_rejects_every_single_bit_flip() {
+        let body: Vec<u8> = (0..=255).collect();
+        let bytes = seal(7, 8, 9, &body);
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(open(&bad, 7, 8, 9).is_err(), "bit {bit} flipped");
+        }
+        let mut bad = bytes.clone();
+        bad[HEADER_LEN + 3] ^= 0x40;
+        assert_eq!(open(&bad, 7, 8, 9).err(), Some(SnapError::Checksum));
+        assert_eq!(
+            open(&bytes[..bytes.len() - 1], 7, 8, 9).err(),
+            Some(SnapError::Checksum)
         );
     }
 
