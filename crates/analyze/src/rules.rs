@@ -302,10 +302,14 @@ fn check_float_ord(f: &FileCtx<'_>) -> Vec<Finding> {
 /// and the journal's capture points in sync. The exemption is by path: a
 /// file elsewhere that happens to share one of those names is checked. A write anywhere else in `gfaas-core`
 /// (a scheduler reaching through `ctx`, a new subsystem poking a queue)
-/// mutates state the journal believes it owns: rollback still restores
-/// bytes, but the bookkeeping the write skipped (aggregates, queue-depth
-/// notes) silently diverges. Flags field accesses followed by a mutating
-/// method, an assignment, or taken as `&mut` borrows.
+/// mutates state the journal believes it owns: the bookkeeping the write
+/// skipped (aggregates, queue-depth notes) silently diverges, and a write
+/// the global queue's undo log never saw is not undone by a rollback.
+/// Flags a write to the place rooted at such a field — the path may go
+/// on through indexing and further fields (`global_queue[0].visits`) —
+/// by a mutating method (including any `_mut` accessor such as
+/// `iter_mut`, `get_mut` or `as_mut`), an assignment or compound
+/// assignment, or an `&mut` borrow.
 fn check_snap_mutate(f: &FileCtx<'_>) -> Vec<Finding> {
     let cluster_child = f
         .rel
@@ -367,13 +371,7 @@ fn check_snap_mutate(f: &FileCtx<'_>) -> Vec<Finding> {
         if i == 0 || toks[i - 1].text != "." {
             continue;
         }
-        let mutated = match toks.get(i + 1).map(|t| t.text) {
-            // `….local_queue.push_back(…)` and friends.
-            Some(".") => toks.get(i + 2).is_some_and(|m| MUTATORS.contains(&m.text)),
-            // `….in_flight = …`; `==` and `=>` are reads, not writes.
-            Some("=") => !matches!(toks.get(i + 2).map(|t| t.text), Some("=") | Some(">")),
-            _ => false,
-        } || mut_borrowed(toks, i);
+        let mutated = place_written(toks, i, MUTATORS) || mut_borrowed(toks, i);
         // One finding per line: `&mut self.units[j].local_queue` is one
         // write site, not two.
         if mutated && findings.last().is_none_or(|l: &Finding| l.line != t.line) {
@@ -389,6 +387,53 @@ fn check_snap_mutate(f: &FileCtx<'_>) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// Whether the place starting at the field access `toks[i]` is written.
+/// Follows the place through index brackets and field accesses
+/// (`global_queue[0].visits`, `units[j].local_queue`, `.0`) to the first
+/// token past it; the place is written when that token starts a call of
+/// one of `mutators` or of a `_mut` accessor (`….iter_mut()`,
+/// `….get_mut(i)`, `….as_mut()`), an assignment (`=`, but not `==` or
+/// `=>`), or a compound assignment (`+=`, `<<=`, …).
+fn place_written(toks: &[Tok<'_>], i: usize, mutators: &[&str]) -> bool {
+    let text = |j: usize| toks.get(j).map(|t| t.text);
+    let mut j = i + 1;
+    loop {
+        match text(j) {
+            Some("[") => {
+                let mut depth = 0usize;
+                while let Some(t) = text(j) {
+                    j += 1;
+                    match t {
+                        "[" => depth += 1,
+                        "]" if depth == 1 => break,
+                        "]" => depth -= 1,
+                        _ => {}
+                    }
+                }
+            }
+            Some(".") => {
+                let Some(name) = toks
+                    .get(j + 1)
+                    .filter(|t| matches!(t.kind, TokKind::Ident | TokKind::Num))
+                else {
+                    return false;
+                };
+                if matches!(text(j + 2), Some("(") | Some(":")) {
+                    return mutators.contains(&name.text) || name.text.ends_with("_mut");
+                }
+                j += 2;
+            }
+            _ => break,
+        }
+    }
+    match (text(j), text(j + 1)) {
+        (Some("="), next) => !matches!(next, Some("=") | Some(">")),
+        (Some("+" | "-" | "*" | "/" | "%" | "^" | "|" | "&"), Some("=")) => true,
+        (Some("<"), Some("<")) | (Some(">"), Some(">")) => text(j + 2) == Some("="),
+        _ => false,
+    }
 }
 
 /// Whether the field access ending at `toks[i]` sits under an `&mut`
@@ -574,8 +619,22 @@ fn f(&mut self) {
             ),
             [1]
         );
+        // Writes through an index or a `_mut` accessor fire too.
+        for write in [
+            "ctx.cluster.st.global_queue[i + 1].visits += 1;",
+            "x.units[v[0]].local_queue[1] = r;",
+            "x.global_queue.get_mut(0).unwrap().visits = 2;",
+            "let f = u.in_flight.as_mut();",
+            "u.local_queue.iter_mut().for_each(|r| r.visits = 0);",
+        ] {
+            assert_eq!(
+                run("snap-mutate", "crates/core/src/scheduler.rs", "core", write),
+                [1],
+                "{write}"
+            );
+        }
         // Reads, comparisons, and lookalike locals stay silent.
-        let reads = "let n = u.local_queue.len();\nif u.in_flight == None {}\nlet local_queue = VecDeque::new();\nlocal_queue.push_back(r);";
+        let reads = "let n = u.local_queue.len();\nif u.in_flight == None {}\nlet local_queue = VecDeque::new();\nlocal_queue.push_back(r);\nlet v = q.global_queue[0].visits <= 3 && u.units[2].hits != 0;\nlet h = u.holding.as_ref();";
         assert!(run("snap-mutate", "crates/core/src/scheduler.rs", "core", reads).is_empty());
         // The write API itself — the cluster module, its child modules
         // and the GPU manager, by path — and other crates are out of

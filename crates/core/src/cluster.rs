@@ -58,7 +58,9 @@ use crate::scheduler::{Dispatch, LalbScheduler, SchedulerPolicy, DEFAULT_O3_LIMI
 #[cfg(feature = "simcheck")]
 use crate::simcheck::SimChecker;
 
+mod queue;
 mod state;
+use queue::GlobalQueue;
 use state::{ClusterImage, SimState};
 
 /// Discrete events driving the cluster.
@@ -310,7 +312,7 @@ impl Cluster {
             registry,
             st: SimState {
                 units,
-                global_queue: VecDeque::new(),
+                global_queue: GlobalQueue::default(),
                 now: SimTime::ZERO,
                 last_completion: SimTime::ZERO,
                 hot_model: None,
@@ -1474,7 +1476,7 @@ impl Cluster {
         let mut i = 0;
         while out.len() < cap && i < self.st.global_queue.len() {
             let (matches, tenant) = {
-                let r = &self.st.global_queue[i];
+                let r = self.st.global_queue.get(i);
                 (r.model == model, r.tenant)
             };
             let blocked = matches
@@ -2026,9 +2028,15 @@ impl Cluster {
         horizon: usize,
     ) -> SpecScore {
         let recorder = self.recorder.take();
+        #[cfg(debug_assertions)]
+        let queue_before = {
+            let q = &self.st.global_queue;
+            (q.len(), q.age_ticks(self.st.now))
+        };
         // Park the drive loop's event heap in the state for the capture.
         std::mem::swap(events, &mut self.st.events);
-        let id = self.journal.snapshot(self.capture_image());
+        let img = self.capture_image();
+        let id = self.journal.snapshot(img);
         std::mem::swap(events, &mut self.st.events);
         let completed0 = self.metrics.completed();
         let lat0 = self.metrics.latency_sample_count();
@@ -2087,11 +2095,19 @@ impl Cluster {
         self.sched = outer;
 
         // The waiting bill: completions pay their latency, everything
-        // still outstanding pays its age as of the fork's end time.
+        // still outstanding pays its age as of the fork's end time. The
+        // global backlog's share comes from the queue's arrival sum in
+        // O(1); the per-GPU queues and batches are fleet-bounded walks.
         let end = self.st.now;
         let age = |r: &Request| end.duration_since(r.arrival).as_micros() as u128;
-        let mut cost_ticks = self.metrics.latency_ticks_from(lat0) as u128;
-        cost_ticks += self.st.global_queue.iter().map(age).sum::<u128>();
+        let backlog_age = self.st.global_queue.age_ticks(end);
+        #[cfg(any(debug_assertions, feature = "simcheck"))]
+        assert_eq!(
+            backlog_age,
+            self.st.global_queue.age_ticks_naive(end),
+            "global-queue arrival sum out of sync"
+        );
+        let mut cost_ticks = self.metrics.latency_ticks_from(lat0) as u128 + backlog_age;
         let mut pending = self.st.global_queue.len();
         for u in &self.st.units {
             pending += u.local_queue.len();
@@ -2113,6 +2129,19 @@ impl Cluster {
         // the caller holds across the pass survive.
         let img = self.journal.take(id).expect("speculation frame is live");
         self.apply_image(img);
+        #[cfg(debug_assertions)]
+        {
+            let q = &self.st.global_queue;
+            assert_eq!(
+                (q.len(), q.age_ticks(self.st.now)),
+                queue_before,
+                "the fork's rewind changed the global queue"
+            );
+            assert!(
+                !self.journal.is_empty() || q.is_released(),
+                "a fork with no pin beneath it left the queue's undo log behind"
+            );
+        }
         *events = std::mem::take(&mut self.st.events);
         self.recorder = recorder;
         score
@@ -2256,7 +2285,7 @@ impl SchedCtx<'_> {
 
     /// The queued request at position `i` (0 = head, arrival order).
     pub fn queued(&self, i: usize) -> &Request {
-        &self.cluster.st.global_queue[i]
+        self.cluster.st.global_queue.get(i)
     }
 
     /// Removes and returns the queued request at position `i` for
@@ -2280,7 +2309,7 @@ impl SchedCtx<'_> {
     /// Records that the request at position `i` was passed over by
     /// out-of-order dispatch (Algorithm 1's visit counter).
     pub fn note_skip(&mut self, i: usize) {
-        self.cluster.st.global_queue[i].visits += 1;
+        self.cluster.st.global_queue.note_visit(i);
     }
 
     /// True iff §VI isolation forbids dispatching more work for `tenant`.
@@ -3558,6 +3587,59 @@ mod tests {
     }
 
     #[test]
+    fn restore_retires_live_pins() {
+        // A pin taken at 3 s describes a future the state restored from
+        // 1 s never had: rolling back to it must refuse, not panic or
+        // rewind the queue and the latency samples to marks past their
+        // ends.
+        let (cfg, t) = snap_fixture();
+        let mut early = snap_cluster(&cfg);
+        early.run_until(&t, SimTime::from_secs_f64(1.0));
+        let bytes = early.checkpoint(&t);
+        let mut c = snap_cluster(&cfg);
+        c.run_until(&t, SimTime::from_secs_f64(3.0));
+        let id = c.snapshot();
+        c.restore(&bytes, &t).unwrap();
+        assert_eq!(c.journal_depth(), 0);
+        assert!(!c.rollback(id), "a pin from before the restore is dead");
+        assert!(!c.commit(id));
+        assert!(c.st.global_queue.is_released());
+        let mut warm = snap_cluster(&cfg);
+        warm.restore(&bytes, &t).unwrap();
+        assert_eq!(c.resume(&t), warm.resume(&t));
+    }
+
+    #[test]
+    fn the_last_commit_drops_the_queue_undo_log() {
+        // Two pins over a saturated stretch: the queue logs its writes
+        // while either is live, and retiring the last one drops the log
+        // so it cannot grow across the rest of the run.
+        let reqs: Vec<(f64, u32)> = (0..40).map(|i| (i as f64 * 0.02, (i % 5) as u32)).collect();
+        let t = trace_of(&reqs);
+        let cfg = ClusterConfig::test(2, 300, Policy::lalbo3());
+        let mut c = Cluster::new(cfg, toy_registry(5));
+        c.run_until(&t, SimTime::from_secs_f64(0.2));
+        assert!(c.st.global_queue.is_released(), "no pin, no log");
+        let old = c.snapshot();
+        c.run_until(&t, SimTime::from_secs_f64(0.5));
+        let new = c.snapshot();
+        c.run_until(&t, SimTime::from_secs_f64(1.5));
+        assert!(!c.st.global_queue.is_released(), "pinned writes are logged");
+        assert!(c.commit(old));
+        assert!(
+            !c.st.global_queue.is_released(),
+            "the younger pin still needs the log"
+        );
+        assert!(c.commit(new));
+        assert!(c.st.global_queue.is_released());
+        c.run_until(&t, SimTime::from_secs_f64(2.5));
+        assert!(
+            c.st.global_queue.is_released(),
+            "unpinned writes are not logged"
+        );
+    }
+
+    #[test]
     fn plain_runs_never_touch_the_journal() {
         // Zero-cost guarantee: without snapshots or lookahead, the
         // journal stays empty for the whole run.
@@ -3745,7 +3827,11 @@ mod tests {
         // The fixture registers six models.
         let edits: [StateEdit; 3] = [
             |st| st.hot_model = Some(ModelId(999)),
-            |st| st.global_queue[0].model = ModelId(999),
+            |st| {
+                let mut queued: Vec<Request> = st.global_queue.iter().copied().collect();
+                queued[0].model = ModelId(999);
+                st.global_queue = queued.into();
+            },
             |st| {
                 let u = st.units.iter_mut().find(|u| u.in_flight.is_some());
                 u.and_then(|u| u.in_flight.as_mut()).unwrap().requests[0].model = ModelId(999);
@@ -4019,5 +4105,118 @@ mod tests {
         let mut paused = lookahead_cluster(3, 300, 5, 4);
         paused.run_until(&t, SimTime::from_secs_f64(2.0));
         assert_eq!(paused.resume(&t), full);
+    }
+
+    /// Every §IV arm open to the queued request at `i` at `c`'s paused
+    /// instant: a hit on each idle holder, a wait at each busy one, a
+    /// miss on each idle non-holder.
+    fn arms_for(c: &Cluster, i: usize) -> Vec<SpecPlacement> {
+        let model = c.st.global_queue.get(i).model;
+        let online = c.st.units.iter().filter(|u| u.state == UnitState::Online);
+        online
+            .filter_map(|u| match (u.is_idle(), u.device.has_model(model)) {
+                (true, true) => Some(SpecPlacement::HitOn(u.id())),
+                (false, true) => Some(SpecPlacement::WaitOn(u.id())),
+                (true, false) => Some(SpecPlacement::MissOn(u.id())),
+                (false, false) => None,
+            })
+            .collect()
+    }
+
+    /// Forks every arm of the first queued request that has one at `c`'s
+    /// paused instant, and checks each fork is invisible — the
+    /// checkpoint bytes do not move — and, with no pin live, leaves no
+    /// undo log behind. Returns the forks made.
+    fn fork_every_arm(c: &mut Cluster, t: &Trace, horizon: usize) -> usize {
+        let before = c.checkpoint(t);
+        let pinned = c.journal_depth() > 0;
+        let Some((i, arms)) = (0..c.st.global_queue.len())
+            .map(|i| (i, arms_for(c, i)))
+            .find(|(_, arms)| !arms.is_empty())
+        else {
+            return 0;
+        };
+        for &arm in &arms {
+            let mut events = std::mem::take(&mut c.st.events);
+            c.speculate_placement(&mut events, i, arm, horizon);
+            c.st.events = events;
+            assert!(pinned || c.st.global_queue.is_released(), "{arm:?}");
+            assert_eq!(c.checkpoint(t), before, "{arm:?} must be invisible");
+        }
+        arms.len()
+    }
+
+    #[test]
+    fn forks_leave_no_undo_log_and_no_trace() {
+        let reqs: Vec<(f64, u32)> = (0..60).map(|i| (i as f64 * 0.09, (i % 5) as u32)).collect();
+        let t = trace_of(&reqs);
+        let full = lookahead_cluster(3, 300, 5, 4).run(&t);
+        let mut c = lookahead_cluster(3, 300, 5, 4);
+        let mut forks = 0;
+        for step in 1..=30 {
+            c.run_until(&t, SimTime::from_secs_f64(step as f64 * 0.2));
+            // The lookahead's own forks ran in between.
+            assert!(c.st.global_queue.is_released(), "step {step}");
+            if !c.st.global_queue.is_empty() {
+                forks += fork_every_arm(&mut c, &t, 16);
+            }
+        }
+        assert!(forks > 5, "the backlog must be forked on repeatedly");
+        assert_eq!(c.resume(&t), full);
+        assert!(
+            c.journal_stats().snapshots > forks as u64,
+            "and by the policy"
+        );
+        assert!(c.st.global_queue.is_released());
+    }
+
+    #[test]
+    fn a_crash_requeued_inside_a_fork_is_undone() {
+        let mut cfg = ClusterConfig::test(3, 300, Policy::lalbo3());
+        cfg.crash_rate = 0.4;
+        cfg.seed = 3;
+        let seed = cfg.seed;
+        let build = || {
+            Cluster::with_policies(
+                cfg.clone(),
+                toy_registry(5),
+                Box::new(crate::scheduler::LookaheadScheduler::new(4, 16, 25)),
+                crate::cache::ReplacementPolicy::Lru.build(seed),
+            )
+            .unwrap()
+        };
+        let reqs: Vec<(f64, u32)> = (0..60).map(|i| (i as f64 * 0.03, (i % 5) as u32)).collect();
+        let t = trace_of(&reqs);
+        let full = build().run(&t);
+        let mut c = build();
+        let mut crashed_in_fork = 0;
+        for step in 1..=20 {
+            c.run_until(&t, SimTime::from_secs_f64(step as f64 * 0.1));
+            if c.st.global_queue.is_empty() {
+                continue;
+            }
+            // A pending crash whose token is still live fires before its
+            // completion (it is scheduled earlier), so a fork replaying
+            // every pending event requeues that batch with `push_front`.
+            let live_crash = c.st.events.entries().into_iter().any(|(_, _, ev)| {
+                matches!(*ev, Event::GpuCrash(g, seq)
+                    if c.st.units[g.0 as usize].in_flight.as_ref().is_some_and(|f| f.seq == seq))
+            });
+            let horizon = c.st.events.len() + 64;
+            // A caller's pin is live across the forks: they must rewind
+            // to their own marks and leave the pin's log usable.
+            let before = c.checkpoint(&t);
+            let id = c.snapshot();
+            if fork_every_arm(&mut c, &t, horizon) > 0 {
+                crashed_in_fork += live_crash as usize;
+            }
+            assert!(c.rollback(id));
+            assert_eq!(c.checkpoint(&t), before);
+            assert!(c.commit(id));
+            assert!(c.st.global_queue.is_released());
+        }
+        assert!(crashed_in_fork > 0, "a fork must replay a live crash");
+        assert!(c.crashes() > 0);
+        assert_eq!(c.resume(&t), full);
     }
 }

@@ -6,7 +6,7 @@
 //! and rebuilds it as a struct literal — a field added but not encoded is
 //! a compile error, not a silent rollback bug.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 use gfaas_gpu::{GpuId, ModelId, Tier};
 use gfaas_obs::SelfProfile;
@@ -16,6 +16,7 @@ use gfaas_sim::time::SimTime;
 use gfaas_snap::{fnv1a, Dec, Enc, Fnv1a, JournalStats, SnapError, SnapId};
 use gfaas_trace::Trace;
 
+use super::queue::{GlobalQueue, QueueMark};
 use super::{fleet_counts, Cluster, Event, LocalAgg};
 use crate::gpu_manager::{GpuUnit, HoldSlot, InFlight, Phase, UnitState};
 use crate::metrics::{MetricsCollector, MetricsImage};
@@ -24,13 +25,14 @@ use crate::request::Request;
 use crate::simcheck::SimChecker;
 
 /// Every journaled plain-data field of the cluster, declared once:
-/// snapshots clone it, rollbacks assign it, checkpoints encode it with
+/// snapshots clone it (all but the global queue, which is journaled by
+/// its own undo log), rollbacks assign it, checkpoints encode it with
 /// [`SimState::save`] and restores decode a fresh one with
 /// [`SimState::load`].
 #[derive(Clone)]
 pub(super) struct SimState {
     pub(super) units: Vec<GpuUnit>,
-    pub(super) global_queue: VecDeque<Request>,
+    pub(super) global_queue: GlobalQueue,
     pub(super) now: SimTime,
     pub(super) last_completion: SimTime,
     pub(super) hot_model: Option<ModelId>,
@@ -261,15 +263,22 @@ impl SimState {
 #[cfg(not(feature = "simcheck"))]
 const SIMCHECK_SLOT: usize = 8 + 8 + 8 + 8 + 8 + 8 + 16;
 
-/// A deep copy of every piece of mutable simulation state, pinned in the
-/// snapshot journal: the [`SimState`], the metrics' rewind image, and the
-/// policies' state from [`Cluster::save_policies`]. `local_aggs` is
-/// derived (a restore rebuilds it; a rollback copies it rather than pay
-/// the rebuild on every fork) and the self-profile counters are
-/// telemetry, so checkpoints do not carry the last three fields.
+/// Every piece of mutable simulation state, pinned in the snapshot
+/// journal. Most of it is copied: the [`SimState`] and `local_aggs`
+/// (fleet-sized), the policies' state from [`Cluster::save_policies`],
+/// and the self-profile counters. The two members that grow with the run
+/// are journaled by marks instead: the global queue by a [`QueueMark`]
+/// into its undo log (the copied state holds an empty queue) and the
+/// latency samples by the metrics' rewind mark. Capturing an image thus
+/// costs O(fleet), whatever the backlog, and applying it also pays for
+/// the queue writes made since. `local_aggs` is derived (a restore
+/// rebuilds it; a rollback copies it rather than pay the rebuild on
+/// every fork) and the self-profile counters are telemetry, so
+/// checkpoints do not carry the last three fields.
 #[derive(Clone)]
 pub(super) struct ClusterImage {
     state: SimState,
+    queue: QueueMark,
     metrics: MetricsImage,
     policies: Vec<u8>,
     local_aggs: Vec<LocalAgg>,
@@ -281,19 +290,25 @@ impl Cluster {
     /// Pins the complete mutable simulation state in the snapshot
     /// journal and returns a handle. The cluster keeps running normally;
     /// [`Cluster::rollback`] restores this instant byte-identically,
-    /// [`Cluster::commit`] retires the pin. Zero-cost when unused: no
-    /// run-loop path touches the journal.
+    /// [`Cluster::commit`] retires the pin. A pin copies the fleet-sized
+    /// state and marks the rest: until the last pin is retired, every
+    /// write to the global queue also logs its inverse. Zero-cost when
+    /// unused: with no pin live, no run-loop path touches the journal.
     pub fn snapshot(&mut self) -> SnapId {
-        self.journal.snapshot(self.capture_image())
+        let img = self.capture_image();
+        self.journal.snapshot(img)
     }
 
     /// Restores the state pinned by `id`, discarding everything that
     /// happened since — metrics, RNG, queues, residency, pending events,
-    /// the arrival cursor, all of it. The pin survives, so the same
-    /// snapshot can be rolled back to again. Returns false for a dead or
-    /// foreign id. An attached recorder is *not* rewound: rolling back
-    /// mid-recording leaves already-emitted telemetry in the sink (the
-    /// lookahead forks stash the recorder first for exactly that reason).
+    /// the arrival cursor, all of it. Costs O(fleet) plus the global-queue
+    /// writes made since the pin, not O(backlog). The pin survives, so
+    /// the same snapshot can be rolled back to again. Returns false for a
+    /// dead or foreign id, including every pin taken before a
+    /// [`Cluster::restore`]. An attached recorder is *not* rewound:
+    /// rolling back mid-recording leaves already-emitted telemetry in the
+    /// sink (the lookahead forks stash the recorder first for exactly
+    /// that reason).
     pub fn rollback(&mut self, id: SnapId) -> bool {
         let Some(img) = self.journal.rollback(id) else {
             return false;
@@ -303,9 +318,12 @@ impl Cluster {
     }
 
     /// Retires the pin `id` (and any older pins), keeping the current
-    /// timeline. Returns false for a dead or foreign id.
+    /// timeline. Retiring the last live pin drops the queue's undo log.
+    /// Returns false for a dead or foreign id.
     pub fn commit(&mut self, id: SnapId) -> bool {
-        self.journal.commit(id)
+        let committed = self.journal.commit(id);
+        self.release_if_unpinned();
+        committed
     }
 
     /// Journal counters: snapshots taken, rollbacks (including
@@ -319,12 +337,17 @@ impl Cluster {
         self.journal.depth()
     }
 
-    /// Deep-copies every piece of mutable simulation state into a
-    /// [`ClusterImage`]. While the drive loop runs, the caller parks the
-    /// event heap back in the state first.
-    pub(super) fn capture_image(&self) -> ClusterImage {
+    /// Captures a [`ClusterImage`]: copies the fleet-sized state and
+    /// marks the global queue's undo log, which logs every later write
+    /// until the last pin is retired. While the drive loop runs, the
+    /// caller parks the event heap back in the state first.
+    pub(super) fn capture_image(&mut self) -> ClusterImage {
+        let queue = std::mem::take(&mut self.st.global_queue);
+        let state = self.st.clone();
+        self.st.global_queue = queue;
         ClusterImage {
-            state: self.st.clone(),
+            state,
+            queue: self.st.global_queue.mark(),
             metrics: self.metrics.snapshot_image(),
             policies: self.save_policies(),
             local_aggs: self.local_aggs.clone(),
@@ -334,10 +357,17 @@ impl Cluster {
     }
 
     /// Restores an image captured by [`Cluster::capture_image`],
-    /// byte-for-byte. Policy objects are the same *objects* — only their
-    /// mutable state is rewound, through their save/load hooks.
+    /// byte-for-byte: the global queue is rewound through its undo log,
+    /// everything else assigned. Policy objects are the same *objects* —
+    /// only their mutable state is rewound, through their save/load
+    /// hooks. When the image's frame was the journal's last, the undo
+    /// log is dropped.
     pub(super) fn apply_image(&mut self, img: ClusterImage) {
+        let mut queue = std::mem::take(&mut self.st.global_queue);
+        queue.rewind(img.queue);
         self.st = img.state;
+        self.st.global_queue = queue;
+        self.release_if_unpinned();
         self.metrics.restore_image(&img.metrics);
         self.load_policies(&mut Dec::new(&img.policies))
             .expect("journaled policy state decodes");
@@ -345,6 +375,14 @@ impl Cluster {
         self.profile = img.profile;
         self.estimator_calls.set(img.estimator_calls);
         self.idle.rebuild(&self.st.units);
+    }
+
+    /// Drops the global queue's undo log once no pin is live: nothing
+    /// can rewind to it any more, and later writes need not log.
+    fn release_if_unpinned(&mut self) {
+        if self.journal.is_empty() {
+            self.st.global_queue.release();
+        }
     }
 
     /// Encodes the state of the five policy hooks — cache (with its
@@ -431,6 +469,10 @@ impl Cluster {
     /// are decoded into fresh values and assigned only after every check
     /// passes, and the policies' previous state is put back if a later
     /// step fails — an `Err` leaves the cluster exactly as it was.
+    ///
+    /// A successful restore retires every live snapshot pin: each one
+    /// describes a timeline the restored state never had, so a later
+    /// [`Cluster::rollback`] to it returns false.
     pub fn restore(&mut self, bytes: &[u8], trace: &Trace) -> Result<(), SnapError> {
         let mut dec = gfaas_snap::open(
             bytes,
@@ -451,6 +493,7 @@ impl Cluster {
             })?;
         self.st = st;
         self.metrics = metrics;
+        self.journal.clear();
         // Derived state follows the restored units and queues.
         for gi in 0..self.st.units.len() {
             self.agg_rebuild(gi);

@@ -7,15 +7,19 @@
 //! scheduler had placed this request elsewhere?" costs a full replay;
 //! this crate makes the alternative cheap:
 //!
-//! * [`Journal`] — an undo log of immutable state *images*. A
+//! * [`Journal`] — a stack of pinned state *images*. A
 //!   [`Journal::snapshot`] pushes a frame and returns a [`SnapId`];
 //!   [`Journal::rollback`] discards every younger frame and hands back a
 //!   clone of the pinned image (the frame survives, so one snapshot
 //!   supports any number of candidate rollbacks); [`Journal::commit`]
 //!   retires frames once a decision is final. The shape follows the
 //!   versioned-map transactions of software transactional memory: writers
-//!   mutate freely between snapshot and commit, and abort is a pointer
-//!   swap back to the pinned version.
+//!   mutate freely between snapshot and commit, and abort restores the
+//!   pinned version. An image need not be a copy: an owner can pin a
+//!   large append- or edit-heavy member as a *mark* into its own undo log
+//!   (the inverse of each write made while a pin is live) and rewind the
+//!   log on rollback, so a pin and a rollback cost the writes made since
+//!   the pin rather than the size of the state.
 //! * [`Enc`] / [`Dec`] — the length-checked little-endian codec every
 //!   component uses to serialise its slice of the cluster image, both for
 //!   in-memory policy blobs and for on-disk checkpoints.
@@ -449,15 +453,23 @@ pub struct JournalStats {
     pub commits: u64,
 }
 
-/// An undo log of state images.
+/// A stack of pinned state images.
 ///
-/// The owner captures its full mutable state as an image `I`, pins it
-/// with [`Journal::snapshot`], then mutates freely. [`Journal::rollback`]
+/// The owner captures its mutable state as an image `I`, pins it with
+/// [`Journal::snapshot`], then mutates freely. [`Journal::rollback`]
 /// discards every frame younger than the pinned one and returns a *clone*
 /// of its image — the frame itself survives, so speculative search can
 /// roll back to the same snapshot once per candidate. When the owner has
 /// chosen a branch, [`Journal::commit`] retires the frame (and everything
 /// older), releasing the memory.
+///
+/// An image may hold copies or marks. A mark is a position in an undo
+/// log the owner keeps beside the state — every write made while some
+/// frame is live appends its inverse there — and applying the image
+/// rewinds the log to it. Marks keep the cost of an image and its clone
+/// independent of the size of the marked member; a rollback then costs
+/// the writes made since the pin. The owner drops its logs once
+/// [`Journal::is_empty`]: no mark can be rewound to any more.
 ///
 /// Frames nest like a stack: rolling back to an older frame implicitly
 /// discards every younger one, exactly as nested transactions abort.
@@ -528,6 +540,15 @@ impl<I: Clone> Journal<I> {
                 .expect("frame at `at` survives truncate")
                 .1,
         )
+    }
+
+    /// Retires every frame without restoring any, for an owner whose
+    /// state was replaced wholesale (a checkpoint restore): each pinned
+    /// image then describes a past the new state never had, and its marks
+    /// point into logs that no longer exist. Later rollbacks and commits
+    /// of the retired ids return `None`/false. Not counted as a commit.
+    pub fn clear(&mut self) {
+        self.frames.clear();
     }
 
     /// Live (uncommitted) frames.
@@ -754,6 +775,20 @@ mod tests {
         let s = j.stats();
         // Failed restores (dead ids) are not counted.
         assert_eq!((s.snapshots, s.rollbacks), (4, 3));
+    }
+
+    #[test]
+    fn journal_clear_retires_every_frame_without_committing() {
+        let mut j: Journal<u8> = Journal::new();
+        let a = j.snapshot(1);
+        let b = j.snapshot(2);
+        j.clear();
+        assert!(j.is_empty());
+        assert_eq!(j.rollback(a), None);
+        assert_eq!(j.take(b), None);
+        assert!(!j.commit(b));
+        assert_eq!(j.stats().commits, 0);
+        assert!(j.snapshot(3) > b, "ids stay unique across a clear");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! checkpointed warm start must reproduce the full run, for *any*
 //! workload, pause point, and smoke registry cell — including the
 //! batching, autoscaling, and tiered-store variants whose state lives
-//! behind the component save/load hooks.
+//! behind the component save/load hooks, and the lookahead scheduler,
+//! whose what-if forks pin and rewind the same journal beneath the
+//! caller's own pins.
 //!
 //! The oracle is deterministic replay: a freshly built cluster advanced
 //! to the same virtual time must serialize to the same checkpoint bytes
@@ -34,7 +36,8 @@ fn toy_registry(n: usize) -> ModelRegistry {
 }
 
 /// The smoke registry cells: plain LALBO3, plus the batching,
-/// autoscaling, and tiered-store layers — separately and stacked.
+/// autoscaling, and tiered-store layers — separately and stacked — and
+/// the forking lookahead scheduler.
 #[derive(Debug, Clone, Copy)]
 enum Cell {
     Plain,
@@ -42,6 +45,7 @@ enum Cell {
     Autoscaled,
     Tiered,
     Stacked,
+    Lookahead,
 }
 
 fn arb_cell() -> impl Strategy<Value = Cell> {
@@ -51,6 +55,7 @@ fn arb_cell() -> impl Strategy<Value = Cell> {
         Just(Cell::Autoscaled),
         Just(Cell::Tiered),
         Just(Cell::Stacked),
+        Just(Cell::Lookahead),
     ]
 }
 
@@ -70,6 +75,9 @@ fn config_of(cell: Cell, gpus: usize, seed: u64) -> ClusterConfig {
         cfg.store = "tiered:host=8G,origin_bw=1G,prefetch=2,hot=4"
             .parse()
             .unwrap();
+    }
+    if matches!(cell, Cell::Lookahead) {
+        cfg.policy = "lookahead:k=4,horizon=16".parse().unwrap();
     }
     cfg
 }
